@@ -1,15 +1,18 @@
 """Diarization timelines: embedding ingestion, RTTM I/O and DER scoring.
 
 Scoring runs on exact rationals (seconds held as `Fraction`s parsed from
-their decimal rendering) so interval arithmetic never drifts, with the
-speaker mapping chosen by an exact-cost Hungarian assignment.
+their decimal rendering, then scaled to common integer ticks) so interval
+arithmetic never drifts, with the speaker mapping chosen by an exact-cost
+Hungarian assignment.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -128,6 +131,10 @@ def load_embeddings(path: str | Path) -> EmbeddingSequence:
     first line {"recording_id": ..., "dim": ...} names the recording and
     pins the dimension. Segments are re-sorted by start time.
 
+    Lines are parsed one by one, but every value is converted and checked
+    in whole arrays. The fault reported is the one on the earliest faulty
+    line, as a line-by-line check would find it.
+
     Raises:
         ParseError: malformed line (message names the line number).
         DimensionMismatchError: inconsistent embedding dimensions.
@@ -137,57 +144,102 @@ def load_embeddings(path: str | Path) -> EmbeddingSequence:
     recording_id = "rec"
     dim: int | None = None
     first_content = True
-    rows: list[tuple[float, float, list[float]]] = []
+    rows: list[tuple[int, float, float, list]] = []
+    # A line that cannot be read ends the read. It is raised only after the
+    # value checks of the rows before it, which an earlier line's fault beats.
+    cut: ParseError | None = None
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(f"line {lineno}: expected a JSON object")
-            if "embedding" not in obj:
-                if first_content and ("recording_id" in obj or "dim" in obj):
-                    recording_id = str(obj.get("recording_id", recording_id))
-                    if "dim" in obj:
-                        dim = int(obj["dim"])
-                    first_content = False
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
                     continue
-                raise ParseError(f"line {lineno}: missing 'embedding' field")
-            first_content = False
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                if not isinstance(obj, dict):
+                    raise ParseError(f"line {lineno}: expected a JSON object")
+                header = first_content and ("recording_id" in obj or "dim" in obj)
+                first_content = False
+                if "embedding" not in obj:
+                    if header:
+                        recording_id = str(obj.get("recording_id", recording_id))
+                        if "dim" in obj:
+                            dim = int(obj["dim"])
+                        continue
+                    raise ParseError(f"line {lineno}: missing 'embedding' field")
+                try:
+                    start, end, vec = float(obj["start"]), float(obj["end"]), obj["embedding"]
+                    if not isinstance(vec, list):
+                        raise TypeError("embedding must be a list of numbers")
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from exc
+                rows.append((lineno, start, end, vec))
+        except ParseError as exc:
+            cut = exc
+
+    try:
+        values = _flat_values(rows)
+    except (TypeError, ValueError):
+        for k, row in enumerate(rows):
             try:
-                start = float(obj["start"])
-                end = float(obj["end"])
-                vec = [float(x) for x in obj["embedding"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            if not (math.isfinite(start) and math.isfinite(end)) or any(
-                not math.isfinite(x) for x in vec
-            ):
-                raise ParseError(f"line {lineno}: non-finite value")
-            if end <= start:
-                raise ParseError(f"line {lineno}: end ({end}) must exceed start ({start})")
-            if not vec:
-                raise ParseError(f"line {lineno}: empty embedding")
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise DimensionMismatchError(
-                    f"line {lineno}: embedding has dimension {len(vec)}, expected {dim}"
-                )
-            if math.sqrt(sum(x * x for x in vec)) <= 1e-12:
-                raise ParseError(f"line {lineno}: zero-norm embedding")
-            rows.append((start, end, vec))
-    if len(rows) < 2:
-        raise EmptyInputError(f"{path}: need at least 2 segments, found {len(rows)}")
-    rows.sort(key=lambda r: r[0])
-    starts = np.array([r[0] for r in rows])
-    ends = np.array([r[1] for r in rows])
-    vectors = np.array([r[2] for r in rows])
-    return EmbeddingSequence(starts=starts, ends=ends, vectors=vectors, recording_id=recording_id)
+                _flat_values([row])
+            except (TypeError, ValueError) as exc:
+                cut = ParseError(f"line {row[0]}: {exc}")
+                rows = rows[:k]
+                break
+        values = _flat_values(rows)
+
+    n = len(rows)
+    starts = np.array([row[1] for row in rows], dtype=float)
+    ends = np.array([row[2] for row in rows], dtype=float)
+    lengths = np.array([len(row[3]) for row in rows], dtype=int)
+    if dim is None:
+        dim = int(lengths[0]) if n else 0
+    fault = _first_fault(rows, starts, ends, lengths, values, dim) or cut
+    if fault is not None:
+        raise fault
+    if n < 2:
+        raise EmptyInputError(f"{path}: need at least 2 segments, found {n}")
+    order = np.argsort(starts, kind="stable")
+    vectors = values.reshape(n, dim)[order]
+    return EmbeddingSequence(starts=starts[order], ends=ends[order], vectors=vectors, recording_id=recording_id)
+
+
+def _first_fault(rows, starts, ends, lengths, values, dim: int) -> ValueError | None:
+    """The fault of the earliest faulty row, checked in the order a per-row reader would."""
+    empty = lengths == 0
+    nonfinite = ~(np.isfinite(starts) & np.isfinite(ends))
+    if not empty.all():
+        offsets = (np.cumsum(lengths) - lengths)[~empty]
+        nonfinite[~empty] |= np.logical_or.reduceat(~np.isfinite(values), offsets)
+    backwards = ends <= starts
+    mismatch = lengths != dim
+    # Rows before the first length fault share one width; only they reach the norm check.
+    ragged = empty | mismatch
+    even = int(np.argmax(ragged)) if ragged.any() else len(rows)
+    zero = np.zeros(len(rows), dtype=bool)
+    zero[:even] = np.linalg.norm(values[: even * dim].reshape(even, dim), axis=1) <= 1e-12
+    faulty = nonfinite | backwards | ragged | zero
+    if not faulty.any():
+        return None
+    i = int(np.argmax(faulty))
+    lineno, start, end, _ = rows[i]
+    if nonfinite[i]:
+        return ParseError(f"line {lineno}: non-finite value")
+    if backwards[i]:
+        return ParseError(f"line {lineno}: end ({end}) must exceed start ({start})")
+    if empty[i]:
+        return ParseError(f"line {lineno}: empty embedding")
+    if mismatch[i]:
+        return DimensionMismatchError(f"line {lineno}: embedding has dimension {lengths[i]}, expected {dim}")
+    return ParseError(f"line {lineno}: zero-norm embedding")
+
+
+def _flat_values(rows: list[tuple[int, float, float, list]]) -> np.ndarray:
+    """Every embedding value of `rows`, in order, as one float array."""
+    return np.fromiter(itertools.chain.from_iterable(row[3] for row in rows), dtype=float)
 
 
 def write_embeddings(emb: EmbeddingSequence, path: str | Path, header: bool = True) -> None:
@@ -239,17 +291,25 @@ def records_from_result(result: DiarizationResult) -> list[RttmRecord]:
     return records
 
 
-def _rttm_line(rec: RttmRecord) -> str:
-    return (
-        f"SPEAKER {rec.recording_id} 1 {rec.onset:.3f} {rec.duration:.3f} "
-        f"<NA> <NA> {rec.speaker} <NA> <NA>"
-    )
-
-
 def write_rttm(result: DiarizationResult | Iterable[RttmRecord], sink: str | Path | IO[str]) -> None:
-    """Write RTTM lines for a DiarizationResult or an iterable of records."""
+    """Write RTTM lines for a DiarizationResult or an iterable of records.
+
+    Onset and end are rendered at millisecond resolution and the duration
+    is the difference of the two rendered values, so a record read back
+    ends where it was written to end. A record whose rendered duration is
+    0 (a turn of under about a millisecond) is dropped: RTTM durations,
+    and load_rttm, require a positive duration.
+    """
     records = records_from_result(result) if isinstance(result, DiarizationResult) else list(result)
-    text = "".join(_rttm_line(r) + "\n" for r in records)
+    lines = []
+    for rec in records:
+        onset = Decimal(f"{rec.onset:.3f}")
+        duration = Decimal(f"{rec.onset + rec.duration:.3f}") - onset
+        if duration > 0:
+            lines.append(
+                f"SPEAKER {rec.recording_id} 1 {onset:.3f} {duration:.3f} <NA> <NA> {rec.speaker} <NA> <NA>\n"
+            )
+    text = "".join(lines)
     if hasattr(sink, "write"):
         sink.write(text)
     else:
@@ -299,74 +359,84 @@ def _frac(x: float | str | Fraction) -> Fraction:
     return Fraction(str(x))
 
 
-def _intervals(records: Sequence[RttmRecord]) -> list[tuple[str, Fraction, Fraction]]:
-    out = []
-    for r in records:
-        onset = _frac(r.onset)
-        out.append((r.speaker, onset, onset + _frac(r.duration)))
-    return out
-
-
-def _score_times(
+def _recording_times(
     ref: Sequence[RttmRecord],
     hyp: Sequence[RttmRecord],
     collar: Fraction,
     score_overlap: bool,
 ):
-    """Exact component times for one recording.
+    """Exact component times for one recording, in one sweep over boundary events.
 
     Returns (scored_ref_time, missed, false_alarm, speaker_error, mapping),
     all times as Fractions of seconds. A collar of width `collar` centered
     on every reference boundary is excluded; without score_overlap, slices
     where the reference has 2+ active speakers are excluded too.
+
+    Every turn edge and collar-zone edge is an event. Between consecutive
+    event times t0 < t1 the per-speaker and collar-depth counters give the
+    active sets: a turn [s, e) covers the slice when s <= t0 < e, a zone
+    [z0, z1) when z0 <= t0 < z1. Times are scaled once to integer ticks of
+    1/den seconds, den being the LCM of every boundary and half-collar
+    denominator, so the sweep itself is integer arithmetic.
     """
-    ref_iv = _intervals(ref)
-    hyp_iv = _intervals(hyp)
     half = collar / 2
+    turns = [
+        (side, r.speaker, _frac(r.onset), _frac(r.duration))
+        for side, recs in ((0, ref), (1, hyp))
+        for r in recs
+    ]
+    den = math.lcm(half.denominator, *(x.denominator for *_, onset, dur in turns for x in (onset, dur)))
+    h = half.numerator * (den // half.denominator)
 
-    zones = []
-    for _, s, e in ref_iv:
-        if half > 0:
-            zones.append((s - half, s + half))
-            zones.append((e - half, e + half))
-    points = set()
-    for _, s, e in ref_iv + hyp_iv:
-        points.update((s, e))
-    for z0, z1 in zones:
-        points.update((z0, z1))
-    cuts = sorted(points)
+    # Counter slot 0 is the collar depth; every (side, speaker) gets a slot of its own.
+    slots: dict[tuple[int, str], int] = {}
+    events: list[tuple[int, int, int]] = []
+    for side, spk, onset, duration in turns:
+        slot = slots.setdefault((side, spk), len(slots) + 1)
+        s = onset.numerator * (den // onset.denominator)
+        e = s + duration.numerator * (den // duration.denominator)
+        events += ((s, slot, 1), (e, slot, -1))
+        if side == 0 and h > 0:
+            events += ((s - h, 0, 1), (s + h, 0, -1), (e - h, 0, 1), (e + h, 0, -1))
+    events.sort()
+    names = [None, *slots]
+    counts = [0] * len(names)
+    active: tuple[set[str], set[str]] = (set(), set())
 
-    overlap: dict[tuple[str, str], Fraction] = {}
-    scored = Fraction(0)
-    missed = Fraction(0)
-    fa = Fraction(0)
-    min_active = Fraction(0)
-    for t0, t1 in zip(cuts, cuts[1:]):
+    overlap: dict[tuple[str, str], int] = {}
+    scored = missed = fa = min_active = 0
+    for (t0, slot, delta), (t1, _, _) in itertools.pairwise(events):
+        counts[slot] += delta
+        if slot:
+            side, spk = names[slot]
+            if counts[slot]:
+                active[side].add(spk)
+            else:
+                active[side].discard(spk)
         dur = t1 - t0
-        if dur <= 0:
+        if dur == 0 or counts[0]:
             continue
-        if any(z0 <= t0 < z1 for z0, z1 in zones):
-            continue
-        ref_active = sorted({spk for spk, s, e in ref_iv if s <= t0 < e})
-        hyp_active = sorted({spk for spk, s, e in hyp_iv if s <= t0 < e})
-        if not ref_active and not hyp_active:
-            continue
-        if not score_overlap and len(ref_active) > 1:
-            continue
+        ref_active, hyp_active = active
         nr, nh = len(ref_active), len(hyp_active)
+        if nr > 1 and not score_overlap:
+            continue
         scored += dur * nr
         missed += dur * max(0, nr - nh)
         fa += dur * max(0, nh - nr)
         min_active += dur * min(nr, nh)
         for r_spk in ref_active:
             for h_spk in hyp_active:
-                key = (r_spk, h_spk)
-                overlap[key] = overlap.get(key, Fraction(0)) + dur
+                overlap[(r_spk, h_spk)] = overlap.get((r_spk, h_spk), 0) + dur
 
-    mapping = _optimal_mapping(overlap)
-    matched = sum((overlap[(r, h)] for h, r in mapping.items()), Fraction(0))
-    speaker_error = min_active - matched
-    return scored, missed, fa, speaker_error, mapping
+    mapping = _optimal_mapping({key: Fraction(v, den) for key, v in overlap.items()})
+    matched = sum(overlap[(r, h)] for h, r in mapping.items())
+    return (
+        Fraction(scored, den),
+        Fraction(missed, den),
+        Fraction(fa, den),
+        Fraction(min_active - matched, den),
+        mapping,
+    )
 
 
 def _optimal_mapping(overlap: dict[tuple[str, str], Fraction]) -> dict[str, str]:
@@ -401,18 +471,20 @@ def score_der(
 
     The optimal one-to-one speaker mapping (maximal matched time) absorbs
     label names; `collar` is the total no-score width centered on each
-    reference boundary. An empty hypothesis scores as all-miss.
+    reference boundary. An empty hypothesis scores as all-miss. This is
+    score_recordings restricted to one recording id.
 
     Raises:
-        EmptyReferenceError: ref is empty.
-        ValueError: collar is negative.
+        EmptyReferenceError: ref is empty, or hyp names a recording ref lacks.
+        ValueError: collar is negative, or ref spans several recording ids.
     """
-    if not ref:
-        raise EmptyReferenceError("reference contains no records")
-    if collar < 0:
-        raise ValueError("collar must be >= 0")
-    scored, missed, fa, se, mapping = _score_times(ref, hyp, _frac(collar), score_overlap)
-    return _report(scored, missed, fa, se, mapping, collar)
+    _, per_recording = score_recordings(ref, hyp, collar, score_overlap)
+    if len(per_recording) > 1:
+        raise ValueError(
+            f"score_der scores one recording, got {len(per_recording)}; use score_recordings"
+        )
+    (report,) = per_recording.values()
+    return report
 
 
 def _report(scored, missed, fa, se, mapping, collar) -> DerReport:
@@ -452,9 +524,10 @@ def _grouped_times(
     orphans = sorted(set(hyp_groups) - set(ref_groups))
     if orphans:
         raise EmptyReferenceError(f"recording {orphans[0]}: no reference records")
+    exact_collar = _frac(collar)
     for rec_id in sorted(ref_groups):
-        yield rec_id, _score_times(
-            ref_groups[rec_id], hyp_groups.get(rec_id, []), _frac(collar), score_overlap
+        yield rec_id, _recording_times(
+            ref_groups[rec_id], hyp_groups.get(rec_id, []), exact_collar, score_overlap
         )
 
 

@@ -27,7 +27,7 @@ from .affinity import (
     _binarize_from_order,
 )
 from .diarization import DiarizationResult
-from .numerics import EigenSystem, InvalidKError, KMeansConfig, eigh, eigvalsh, kmeans
+from .numerics import EigenSystem, InvalidKError, KMeansConfig, _readonly, eigh, eigvalsh, kmeans
 
 __all__ = [
     "NmeConfig",
@@ -104,12 +104,6 @@ class NjwConfig:
             raise ValueError("k override must be >= 1")
         if self.max_speakers < 1:
             raise ValueError("max_speakers must be >= 1")
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)

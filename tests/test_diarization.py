@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nmesc import (
     DiarizationResult,
@@ -157,6 +159,25 @@ def test_rttm_round_trip(tmp_path) -> None:
     assert back == records_from_result(result)
 
 
+def test_rttm_sub_millisecond_turn_round_trips(tmp_path) -> None:
+    # A 0.2 ms turn renders to a 0 ms duration and is dropped; onset and end
+    # round to ms independently of each other, so durations never drift.
+    result = DiarizationResult(
+        recording_id="r",
+        starts=np.array([0.0004, 1.0, 2.0]),
+        ends=np.array([0.0016, 1.0002, 3.0]),
+        labels=np.array([0, 1, 0]),
+    )
+    path = tmp_path / "sub.rttm"
+    write_rttm(result, path)
+    assert path.read_text().splitlines() == [
+        "SPEAKER r 1 0.000 0.002 <NA> <NA> spk0 <NA> <NA>",
+        "SPEAKER r 1 2.000 1.000 <NA> <NA> spk0 <NA> <NA>",
+    ]
+    back = load_rttm(path)
+    assert [(r.onset, r.duration, r.speaker) for r in back] == [(0.0, 0.002, "spk0"), (2.0, 1.0, "spk0")]
+
+
 def test_load_rttm_rejects_malformed(tmp_path) -> None:
     path = tmp_path / "bad.rttm"
     path.write_text("LEXEME rec 1 0.000 1.000 <NA> <NA> spk0 <NA> <NA>\n")
@@ -306,6 +327,81 @@ def test_score_der_label_bijection_invariance() -> None:
             base.false_alarm,
             base.speaker_error,
         )
+
+
+def test_score_der_is_one_recording() -> None:
+    ref = [_rec("A", 0.0, 10.0, "r1"), _rec("A", 0.0, 10.0, "r2")]
+    with pytest.raises(ValueError, match="score_recordings"):
+        score_der(ref, [], collar=0.0)
+    with pytest.raises(EmptyReferenceError, match="other"):
+        score_der(ref[:1], [_rec("X", 0.0, 1.0, "other")], collar=0.0)
+
+
+_COLLARS = (0.0, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def _timelines(draw, min_turns: int) -> list[RttmRecord]:
+    """Millisecond-grid turns of 1-4 speakers; turns of one speaker may overlap.
+
+    Onsets start near 0 (below any collar/2) and turns can be 1 ms long,
+    far narrower than the widest collar.
+    """
+    n_spk = draw(st.integers(1, 4))
+    turns = draw(
+        st.lists(
+            st.tuples(st.integers(0, 6000), st.integers(1, 2500), st.integers(0, n_spk - 1)),
+            min_size=min_turns,
+            max_size=7,
+        )
+    )
+    return [_rec(f"s{spk}", onset / 1000, dur / 1000) for onset, dur, spk in turns]
+
+
+def _assert_matches_oracle(ref, hyp, collar: float, overlap: bool) -> None:
+    rep = score_der(ref, hyp, collar=collar, score_overlap=overlap)
+    scored, missed, fa, se = oracle_der_components(ref, hyp, collar, overlap)
+    if scored == 0:
+        assert (rep.der, rep.scored_time) == (0.0, 0.0)
+        return
+    assert rep.scored_time == float(scored)
+    assert rep.missed == float(missed / scored)
+    assert rep.false_alarm == float(fa / scored)
+    assert rep.speaker_error == float(se / scored)
+    assert rep.der == float((missed + fa + se) / scored)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ref=_timelines(min_turns=1),
+    hyp=_timelines(min_turns=0),
+    collar=st.sampled_from(_COLLARS),
+    overlap=st.booleans(),
+)
+# A 1 ms turn and an onset below collar/2 under the widest collar, a speaker
+# overlapping itself, and an empty hypothesis.
+@example(
+    ref=[_rec("s0", 0.1, 0.001), _rec("s1", 0.2, 2.0), _rec("s1", 1.0, 3.0)],
+    hyp=[],
+    collar=1.0,
+    overlap=False,
+)
+def test_score_der_equals_oracle_property(ref, hyp, collar, overlap) -> None:
+    _assert_matches_oracle(ref, hyp, collar, overlap)
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_score_der_long_relabelled_timeline_equals_oracle(overlap: bool) -> None:
+    rng = np.random.default_rng(11)
+    ref, hyp, t = [], [], 0
+    for i in range(400):
+        t = max(0, t + int(rng.integers(-300, 500)))  # gaps and overlaps between turns
+        dur = int(rng.integers(200, 3000))
+        spk = int(rng.integers(4))
+        ref.append(_rec(f"s{spk}", t / 1000, dur / 1000))
+        hyp.append(_rec(f"h{(spk + (i % 25 == 0)) % 4}", t / 1000, dur / 1000))
+        t += dur
+    _assert_matches_oracle(ref, hyp, 0.25, overlap)
 
 
 # ---------------------------------------------------------------------------
