@@ -173,13 +173,6 @@ def descending_order(data: np.ndarray) -> np.ndarray:
     return np.argsort(-data, axis=1, kind="stable")
 
 
-def _binarize_from_order(order: np.ndarray, p: int) -> np.ndarray:
-    n = order.shape[0]
-    data = np.zeros((n, n))
-    np.put_along_axis(data, order[:, :p], 1.0, axis=1)
-    return data
-
-
 def binarize(a: AffinityMatrix, p: int) -> AffinityMatrix:
     """Keep the p largest entries of each row as 1, zero the rest.
 
@@ -195,7 +188,8 @@ def binarize(a: AffinityMatrix, p: int) -> AffinityMatrix:
     p = int(p)
     if not 1 <= p <= a.n:
         raise InvalidPError(f"p={p} outside [1, {a.n}]")
-    data = _binarize_from_order(descending_order(a.data), p)
+    data = np.zeros((a.n, a.n))
+    np.put_along_axis(data, descending_order(a.data)[:, :p], 1.0, axis=1)
     return AffinityMatrix(data=data, kind=AffinityKind.BINARIZED, p=p)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -65,17 +64,6 @@ def scan_to_csv(scan: NmeScan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("NME_SC_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:  # 0 (or unset) = auto
-        n = os.cpu_count() or 1
-    return n
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmesc",
@@ -128,7 +116,7 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             fixed_k=args.fixed_k,
             seed=args.seed,
         )
-        result, scan = nme_sc(emb, cfg, workers=_workers_from_env())
+        result, scan = nme_sc(emb, cfg)
         config = {
             "method": "nme-sc",
             "epsilon": cfg.epsilon,

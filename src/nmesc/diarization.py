@@ -166,7 +166,12 @@ def load_embeddings(path: str | Path) -> EmbeddingSequence:
                     if header:
                         recording_id = str(obj.get("recording_id", recording_id))
                         if "dim" in obj:
-                            dim = int(obj["dim"])
+                            value = obj["dim"]
+                            if type(value) is not int or value < 1:  # bool is an int subclass
+                                raise ParseError(
+                                    f"line {lineno}: header 'dim' must be an integer >= 1, got {value!r}"
+                                )
+                            dim = value
                         continue
                     raise ParseError(f"line {lineno}: missing 'embedding' field")
                 try:

@@ -9,7 +9,6 @@ the final labels. No development-set tuning is involved anywhere.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +17,11 @@ from .affinity import (
     AffinityKind,
     AffinityMatrix,
     EmbeddingSequence,
+    InvalidPError,
     WrongStateError,
-    binarize,
     cosine_affinity,
     descending_order,
     kernel_affinity,
-    symmetrize,
-    _binarize_from_order,
 )
 from .diarization import DiarizationResult
 from .numerics import EigenSystem, InvalidKError, KMeansConfig, _readonly, eigh, eigvalsh, kmeans
@@ -214,37 +211,57 @@ def _nme_metrics(values: np.ndarray, p: int, cfg: NmeConfig):
     return gp, rp, k, gaps
 
 
+def _pruned_laplacians(order: np.ndarray, p_max: int):
+    """Yield the pruned graph's unnormalized Laplacian L for p = 1, ..., p_max.
+
+    With order = descending_order(a.data), L equals
+    unnormalized_laplacian(symmetrize(binarize(a, p))) exactly: p adds one
+    neighbour cols[i] per row i, so L loses 0.5 at (i, cols[i]) and (cols[i], i)
+    and its diagonal gains 0.5 plus 0.5 per incoming edge; all entries stay
+    multiples of 0.5. One buffer is updated in place and yielded at every p.
+    """
+    n = order.shape[0]
+    rows = np.arange(n)
+    lap = np.zeros((n, n))
+    diag = lap.reshape(-1)[:: n + 1]
+    for p in range(1, p_max + 1):
+        cols = order[:, p - 1]
+        lap[rows, cols] -= 0.5
+        lap[cols, rows] -= 0.5
+        diag += 0.5 + 0.5 * np.bincount(cols, minlength=n)
+        yield lap
+
+
 def nme_at(a: AffinityMatrix, p: int, cfg: NmeConfig = NmeConfig()) -> NmeProbe:
     """Evaluate one binarization threshold p on a raw-cosine affinity matrix.
 
-    Runs binarize -> symmetrize -> unnormalized Laplacian -> eigendecomposition
-    and derives g_p = max(gap)/(lambda_max + eps), r_p = p/max(g_p, eps) and
-    the gap-argmax cluster count.
+    Builds the pruned graph's unnormalized Laplacian, takes its full
+    eigendecomposition and derives g_p = max(gap)/(lambda_max + eps),
+    r_p = p/max(g_p, eps) and the gap-argmax cluster count.
+
+    Raises:
+        WrongStateError: input is not a raw-cosine matrix.
+        InvalidPError: p outside [1, n].
     """
-    sym = symmetrize(binarize(a, p))
-    es = eigh(unnormalized_laplacian(sym))
-    gp, rp, k, gaps = _nme_metrics(es.values, int(p), cfg)
-    return NmeProbe(p=int(p), gp=gp, rp=rp, k_at_p=k, eigengap=gaps, eigensystem=es)
+    if a.kind is not AffinityKind.RAW_COSINE:
+        raise WrongStateError(f"nme_at expects a raw-cosine matrix, got {a.kind.value}")
+    p = int(p)
+    if not 1 <= p <= a.n:
+        raise InvalidPError(f"p={p} outside [1, {a.n}]")
+    for lap in _pruned_laplacians(descending_order(a.data), p):
+        pass  # the buffer now holds the Laplacian at p
+    es = eigh(lap)
+    gp, rp, k, gaps = _nme_metrics(es.values, p, cfg)
+    return NmeProbe(p=p, gp=gp, rp=rp, k_at_p=k, eigengap=gaps, eigensystem=es)
 
 
-def _scan_entry(order: np.ndarray, p: int, cfg: NmeConfig) -> NmeScanEntry:
-    # Values-only fast path: the scan never needs eigenvectors except at
-    # p-hat, which nme_sc re-probes with the full decomposition.
-    b = _binarize_from_order(order, p)
-    sym = (b + b.T) / 2.0
-    lap = np.diag(sym.sum(axis=1)) - sym
-    values = eigvalsh(lap)
-    gp, rp, k, gaps = _nme_metrics(values, p, cfg)
-    return NmeScanEntry(p=p, gp=gp, rp=rp, k_at_p=k, eigengap=gaps)
-
-
-def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig(), *, workers: int = 1) -> NmeScan:
+def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     """Scan every integer p in [1, min(p_max, N)] and select p_hat, k_hat.
 
-    p_hat is the argmin of r_p (lowest p on ties); k_hat is the gap-argmax
-    at p_hat capped by max_speakers, or cfg.fixed_k when set. With
-    workers > 1 the per-p evaluations fan out across a thread pool; the
-    result is identical for any worker count.
+    One pass over p updates a single Laplacian and takes only its eigenvalues
+    (nme_sc re-probes p_hat for eigenvectors). p_hat is the argmin of r_p
+    (lowest p on ties); k_hat is the gap-argmax at p_hat capped by
+    max_speakers, or cfg.fixed_k when set.
 
     Raises:
         InputTooSmallError: fewer than 4 segments.
@@ -257,18 +274,15 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig(), *, workers: int = 
         raise InputTooSmallError(f"need at least 4 segments, got {n}")
     p_max = cfg.p_max if cfg.p_max is not None else max(1, n // 4)
     p_max = min(int(p_max), n)
-    order = descending_order(a.data)
 
-    ps = range(1, p_max + 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = tuple(pool.map(lambda p: _scan_entry(order, p, cfg), ps))
-    else:
-        entries = tuple(_scan_entry(order, p, cfg) for p in ps)
+    entries = []
+    for p, lap in enumerate(_pruned_laplacians(descending_order(a.data), p_max), start=1):
+        gp, rp, k, gaps = _nme_metrics(eigvalsh(lap), p, cfg)
+        entries.append(NmeScanEntry(p=p, gp=gp, rp=rp, k_at_p=k, eigengap=gaps))
 
     best = min(entries, key=lambda e: (e.rp, e.p))
     k_hat = cfg.fixed_k if cfg.fixed_k is not None else min(best.k_at_p, cfg.max_speakers)
-    return NmeScan(entries=entries, p_hat=best.p, k_hat=k_hat, p_max=p_max)
+    return NmeScan(entries=tuple(entries), p_hat=best.p, k_hat=k_hat, p_max=p_max)
 
 
 def spectral_embedding(es: EigenSystem, k: int) -> np.ndarray:
@@ -282,9 +296,7 @@ def spectral_embedding(es: EigenSystem, k: int) -> np.ndarray:
     return es.vectors[:, :k].copy()
 
 
-def nme_sc(
-    emb: EmbeddingSequence, cfg: NmeConfig = NmeConfig(), *, workers: int = 1
-) -> tuple[DiarizationResult, NmeScan]:
+def nme_sc(emb: EmbeddingSequence, cfg: NmeConfig = NmeConfig()) -> tuple[DiarizationResult, NmeScan]:
     """End-to-end auto-tuned spectral clustering of an embedding sequence.
 
     Returns the per-segment labels as a DiarizationResult plus the full
@@ -293,7 +305,7 @@ def nme_sc(
     if emb.n < 4:
         raise InputTooSmallError(f"need at least 4 segments, got {emb.n}")
     a = cosine_affinity(emb)
-    scan = nme_scan(a, cfg, workers=workers)
+    scan = nme_scan(a, cfg)
     probe = nme_at(a, scan.p_hat, cfg)
     points = spectral_embedding(probe.eigensystem, scan.k_hat)
     km = kmeans(points, scan.k_hat, KMeansConfig(seed=cfg.seed))

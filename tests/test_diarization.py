@@ -57,6 +57,57 @@ def test_load_embeddings_header_and_sorting(tmp_path) -> None:
     assert emb.starts.tolist() == [0.0, 5.0]
 
 
+@pytest.mark.parametrize("dim", ['"x"', "2.7", "true", "0"])
+def test_load_embeddings_rejects_bad_header_dim(tmp_path, dim) -> None:
+    path = tmp_path / "emb.jsonl"
+    path.write_text(
+        f'{{"recording_id": "callA", "dim": {dim}}}\n'
+        '{"start": 0.0, "end": 1.0, "embedding": [1.0, 0.0]}\n'
+        '{"start": 1.0, "end": 2.0, "embedding": [0.0, 1.0]}\n'
+    )
+    with pytest.raises(ParseError, match="line 1: header 'dim'"):
+        load_embeddings(path)
+
+
+_SECONDS = st.floats(min_value=0.0, max_value=1e5, allow_nan=False)
+_VALUES = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@st.composite
+def _embedding_sequences(draw, recording_id: str) -> EmbeddingSequence:
+    n = draw(st.integers(2, 12))
+    dim = draw(st.integers(1, 6))
+    starts = sorted(draw(st.lists(_SECONDS, min_size=n, max_size=n)))
+    lengths = draw(st.lists(st.floats(min_value=1e-3, max_value=60.0), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(_VALUES, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    vectors = np.array(rows)
+    vectors[np.linalg.norm(vectors, axis=1) <= 1e-12, 0] = 1.0
+    return EmbeddingSequence(
+        starts=np.array(starts),
+        ends=np.array(starts) + np.array(lengths),
+        vectors=vectors,
+        recording_id=recording_id,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    header=st.booleans(),
+    recording_id=st.text(min_size=1, max_size=12),
+)
+def test_write_load_embeddings_round_trip(tmp_path_factory, data, header, recording_id) -> None:
+    # Without a header the loader falls back to the default id, so only then is it "rec".
+    emb = data.draw(_embedding_sequences(recording_id if header else "rec"))
+    path = tmp_path_factory.mktemp("jsonl") / "emb.jsonl"
+    write_embeddings(emb, path, header=header)
+    back = load_embeddings(path)
+    assert back.recording_id == emb.recording_id
+    assert np.array_equal(back.starts, emb.starts)
+    assert np.array_equal(back.ends, emb.ends)
+    assert np.array_equal(back.vectors, emb.vectors)
+
+
 def test_load_embeddings_end_before_start_names_line(tmp_path) -> None:
     path = tmp_path / "emb.jsonl"
     path.write_text(

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmesc import (
     AffinityKind,
@@ -32,7 +34,8 @@ from nmesc import (
     symmetrize,
     unnormalized_laplacian,
 )
-from nmesc.nme import _njw_embedding
+from nmesc.affinity import descending_order
+from nmesc.nme import _njw_embedding, _pruned_laplacians
 from conftest import random_embeddings
 
 
@@ -242,17 +245,59 @@ def test_nme_scan_entry_structure_and_defaults() -> None:
     assert scan.k_hat == min(best.k_at_p, 8)
 
 
-def test_nme_scan_deterministic_and_worker_invariant() -> None:
+def test_nme_scan_deterministic() -> None:
     rng = np.random.default_rng(7)
     emb = random_embeddings(rng, 20, 5)
     a = cosine_affinity(emb)
     s1 = nme_scan(a, NmeConfig())
     s2 = nme_scan(a, NmeConfig())
-    s4 = nme_scan(a, NmeConfig(), workers=4)
-    for x, y in ((s1, s2), (s1, s4)):
-        assert (x.p_hat, x.k_hat, x.p_max) == (y.p_hat, y.k_hat, y.p_max)
-        for ex, ey in zip(x.entries, y.entries):
-            assert (ex.p, ex.gp, ex.rp, ex.k_at_p) == (ey.p, ey.gp, ey.rp, ey.k_at_p)
+    assert (s1.p_hat, s1.k_hat, s1.p_max) == (s2.p_hat, s2.k_hat, s2.p_max)
+    for e1, e2 in zip(s1.entries, s2.entries):
+        assert (e1.p, e1.gp, e1.rp, e1.k_at_p) == (e2.p, e2.gp, e2.rp, e2.k_at_p)
+
+
+@st.composite
+def _affinities_with_duplicates(draw) -> AffinityMatrix:
+    """Raw cosine affinities, N in [4, 40], whose rows are drawn with replacement.
+
+    Repeated rows are exact duplicates. With {-1, 1}^4 vectors every cosine is
+    exact, so a duplicate's cosine ties the pinned diagonal and, the tie going
+    to the lower column, row i's nearest neighbour need not be i itself.
+    """
+    n = draw(st.integers(4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = rng.choice([-1.0, 1.0], size=(n, 4))
+    else:
+        base = rng.standard_normal((n, int(rng.integers(2, 9))))
+    pick = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    starts = np.arange(n, dtype=float)
+    return cosine_affinity(EmbeddingSequence(starts=starts, ends=starts + 1.0, vectors=base[pick]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_affinities_with_duplicates())
+def test_pruned_laplacians_equal_public_chain_at_every_p(a) -> None:
+    laplacians = _pruned_laplacians(descending_order(a.data), a.n)
+    for p, lap in enumerate(laplacians, start=1):
+        assert np.array_equal(lap, unnormalized_laplacian(symmetrize(binarize(a, p))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=_affinities_with_duplicates(),
+    max_speakers=st.integers(1, 8),
+    p_max=st.one_of(st.none(), st.integers(1, 40)),
+)
+def test_nme_scan_invariants(a, max_speakers, p_max) -> None:
+    scan = nme_scan(a, NmeConfig(p_max=p_max, max_speakers=max_speakers))
+    for e in scan.entries:
+        assert 0.0 <= e.gp <= 1.0
+        assert e.rp >= e.p
+        assert 1 <= e.k_at_p <= min(max_speakers, a.n - 1)
+    best = min(scan.entries, key=lambda e: (e.rp, e.p))
+    assert scan.p_hat == best.p
+    assert scan.k_hat == min(best.k_at_p, max_speakers)
 
 
 def test_nme_scan_agrees_with_probe_within_tolerance() -> None:
