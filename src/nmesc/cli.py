@@ -2,7 +2,9 @@
 
 Every file-producing run drops a JSON manifest next to its primary output
 recording the resolved configuration and input digests, so identical
-manifests imply bit-identical outputs.
+manifests imply bit-identical outputs for a fixed BLAS thread count. The
+last bits of the eigenvalues, which the scan CSV prints in full, can move
+with the number of threads the BLAS uses.
 """
 
 from __future__ import annotations

