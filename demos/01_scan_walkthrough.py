@@ -1,9 +1,11 @@
 """Walk through the eigengap auto-tuning scan on a synthetic 3-speaker corpus.
 
-For every binarization threshold p the scan prunes the cosine affinity
-graph, takes the unnormalized Laplacian's spectrum, and computes the
-normalized maximum eigengap g_p plus the tuning ratio r_p = p / g_p.
-The p with minimal ratio wins, and its largest eigengap fixes k.
+For each binarization threshold p, from 1 upward, the scan prunes the
+cosine affinity graph, takes the unnormalized Laplacian's spectrum, and
+computes the normalized maximum eigengap g_p plus the tuning ratio
+r_p = p / g_p. The p with minimal ratio wins, and its largest eigengap
+fixes k. Since g_p <= 1, every r_p >= p, so the scan stops once p reaches
+the smallest ratio so far; on long recordings that is often before p_max.
 """
 
 import numpy as np
@@ -20,6 +22,11 @@ for entry in scan.entries:
     marker = "  <- p_hat" if entry.p == scan.p_hat else ""
     print(f"{entry.p:>4} {entry.gp:>10.6f} {entry.rp:>14.4f} {entry.k_at_p:>5}{marker}")
 
+last = scan.entries[-1].p
+if last < scan.p_max:
+    print(f"stopped after p = {last} of p_max = {scan.p_max}: p = {last + 1} >= min r_p, so no later p can win")
+else:
+    print(f"scanned every p up to p_max = {scan.p_max}")
 print(f"\nselected p_hat = {scan.p_hat}, estimated k = {scan.k_hat} (true k = {spec.n_clusters})")
 
 result, _ = nme_sc(emb, NmeConfig())

@@ -205,10 +205,12 @@ def load_embeddings(path: str | Path) -> EmbeddingSequence:
     if len(vectors) < 2:
         raise EmptyInputError(f"{path}: need at least 2 segments, found {len(vectors)}")
     order = np.argsort(starts, kind="stable")
+    stacked = np.stack([vectors[i] for i in order])
+    del vectors  # frees the per-line rows before EmbeddingSequence takes its own copy
     return EmbeddingSequence(
         starts=np.array(starts)[order],
         ends=np.array(ends)[order],
-        vectors=np.stack(vectors)[order],
+        vectors=stacked,
         recording_id=recording_id,
     )
 

@@ -119,7 +119,10 @@ class NmeScanEntry:
 
 @dataclass(frozen=True)
 class NmeScan:
-    """Full scan over p in [1, p_max] with the selected p_hat and k_hat."""
+    """Scan over p = 1, ..., p_last <= p_max with the selected p_hat and k_hat.
+
+    p_last < p_max only when p_last + 1 >= min r_p: as r_p >= p, no later p wins.
+    """
 
     entries: tuple[NmeScanEntry, ...]
     p_hat: int
@@ -127,10 +130,14 @@ class NmeScan:
     p_max: int
 
     def __post_init__(self):
-        if [e.p for e in self.entries] != list(range(1, self.p_max + 1)):
-            raise ValueError("entries must cover every p in [1, p_max] exactly once, ascending")
-        if not 1 <= self.p_hat <= self.p_max:
-            raise ValueError(f"p_hat={self.p_hat} outside [1, {self.p_max}]")
+        p_last = len(self.entries)
+        if not 1 <= p_last <= self.p_max or [e.p for e in self.entries] != list(range(1, p_last + 1)):
+            raise ValueError("entries must cover p = 1, ..., p_last <= p_max exactly once, ascending")
+        r_min = min(e.rp for e in self.entries)
+        if p_last < self.p_max and p_last + 1 < r_min:
+            raise ValueError(f"scan stops at p={p_last} < p_max={self.p_max}, but min r_p={r_min} > p+1")
+        if not 1 <= self.p_hat <= p_last:
+            raise ValueError(f"p_hat={self.p_hat} outside [1, {p_last}]")
         if self.k_hat < 1:
             raise ValueError("k_hat must be >= 1")
 
@@ -256,12 +263,21 @@ def nme_at(a: AffinityMatrix, p: int, cfg: NmeConfig = NmeConfig()) -> NmeProbe:
 
 
 def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
-    """Scan every integer p in [1, min(p_max, N)] and select p_hat, k_hat.
+    """Scan integer p upward from 1 to at most min(p_max, N) and select p_hat, k_hat.
 
     One pass over p updates a single Laplacian and takes only its eigenvalues
     (nme_sc re-probes p_hat for eigenvectors). p_hat is the argmin of r_p
     (lowest p on ties); k_hat is the gap-argmax at p_hat capped by
     max_speakers, or cfg.fixed_k when set.
+
+    The scan stops before the first p >= the best r_p so far. Every r_q >= q,
+    so no later q can beat it, and ties go to the lower p. In floating point:
+    L is positive semi-definite, and while its smallest computed eigenvalue is
+    >= -epsilon every gap is <= lambda_max + epsilon, so by monotone rounding
+    g_q <= 1 and r_q >= q for epsilon <= 1 (for epsilon > 1, r_q = q/epsilon
+    grows with q and p_hat = 1). LAPACK's error at N <= 480 is about 1e-13, far
+    inside epsilon = 1e-10. Kept entries, p_hat and k_hat equal a full scan's
+    bit for bit.
 
     Raises:
         InputTooSmallError: fewer than 4 segments.
@@ -276,11 +292,15 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     p_max = min(int(p_max), n)
 
     entries = []
+    best = None
     for p, lap in enumerate(_pruned_laplacians(descending_order(a.data), p_max), start=1):
+        if best is not None and p >= best.rp:
+            break
         gp, rp, k, gaps = _nme_metrics(eigvalsh(lap), p, cfg)
         entries.append(NmeScanEntry(p=p, gp=gp, rp=rp, k_at_p=k, eigengap=gaps))
+        if best is None or rp < best.rp:
+            best = entries[-1]
 
-    best = min(entries, key=lambda e: (e.rp, e.p))
     k_hat = cfg.fixed_k if cfg.fixed_k is not None else min(best.k_at_p, cfg.max_speakers)
     return NmeScan(entries=tuple(entries), p_hat=best.p, k_hat=k_hat, p_max=p_max)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from decimal import ROUND_HALF_EVEN, Decimal
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -289,6 +291,41 @@ def test_rttm_sub_millisecond_turn_round_trips(tmp_path) -> None:
     ]
     back = load_rttm(path)
     assert [(r.onset, r.duration, r.speaker) for r in back] == [(0.0, 0.002, "spk0"), (2.0, 1.0, "spk0")]
+
+
+def _ms(x: float) -> int:
+    """x in whole ms, rounded half to even from its exact binary value, as %.3f renders it."""
+    return int(Decimal(x).quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN).scaleb(3))
+
+
+_ms_grid = st.integers(0, 10**7).map(lambda ms: ms / 1000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=st.lists(
+        st.builds(
+            _rec,
+            spk=st.sampled_from(["spk0", "spk1", "A"]),
+            onset=st.one_of(_ms_grid, st.floats(0.0, 1e4)),
+            dur=st.one_of(st.integers(1, 10**5).map(lambda ms: ms / 1000), st.floats(1e-7, 100.0)),
+        ),
+        max_size=20,
+    )
+)
+def test_write_load_rttm_round_trips_on_ms_grid(tmp_path_factory, records) -> None:
+    path = tmp_path_factory.mktemp("rttm") / "x.rttm"
+    write_rttm(records, path)
+    # Only a record that renders to 0 ms may be lost.
+    kept = [r for r in records if _ms(r.onset + r.duration) > _ms(r.onset)]
+    back = load_rttm(path)
+    assert len(back) == len(kept)
+    for r, b in zip(kept, back):
+        assert (b.recording_id, b.speaker) == (r.recording_id, r.speaker)
+        assert round(b.onset * 1000) == _ms(r.onset)
+        assert round((b.onset + b.duration) * 1000) == _ms(r.onset + r.duration)
+        if r.onset == _ms(r.onset) / 1000:
+            assert b.onset == r.onset
 
 
 def test_load_rttm_rejects_malformed(tmp_path) -> None:

@@ -23,6 +23,7 @@ from nmesc import (
     cosine_affinity,
     eigengap_vector,
     eigh,
+    eigvalsh,
     generate,
     kernel_affinity,
     nme_at,
@@ -202,10 +203,13 @@ def test_nme_scan_two_ideal_pairs_hand_enumeration(two_ideal_pairs) -> None:
     # Duplicate vectors tie at 1.0, so p=1 keeps column 0 (not the diagonal):
     # each pair collapses to one edge of weight 1/2, spectrum {0,0,1,1},
     # r(1) ~ 1; at p=2 the pairs are 2-cliques, spectrum {0,0,2,2}, r(2) ~ 2.
-    scan = nme_scan(cosine_affinity(two_ideal_pairs), NmeConfig(p_max=2))
-    assert [e.p for e in scan.entries] == [1, 2]
+    # Since r(p) >= p, p=2 cannot beat r(1) ~ 1, so the scan stops after p=1.
+    a = cosine_affinity(two_ideal_pairs)
+    scan = nme_scan(a, NmeConfig(p_max=2))
+    assert [e.p for e in scan.entries] == [1]
+    assert scan.p_max == 2
     assert scan.entries[0].rp == pytest.approx(1.0, abs=1e-8)
-    assert scan.entries[1].rp == pytest.approx(2.0, abs=1e-8)
+    assert nme_at(a, 2).rp == pytest.approx(2.0, abs=1e-8)
     assert scan.p_hat == 1
     assert scan.k_hat == 2
     assert scan.entries[0].k_at_p == 2
@@ -300,6 +304,53 @@ def test_nme_scan_invariants(a, max_speakers, p_max) -> None:
     assert scan.k_hat == min(best.k_at_p, max_speakers)
 
 
+def _full_reference_scan(a: AffinityMatrix, cfg: NmeConfig, p_max: int) -> list:
+    """(p, g_p, r_p, k_at_p, gaps) at every p <= p_max through the public chain, no stop."""
+    rows = []
+    for p in range(1, p_max + 1):
+        values = eigvalsh(unnormalized_laplacian(symmetrize(binarize(a, p))))
+        assert values[0] >= -cfg.epsilon  # the condition under which g_p <= 1, so r_p >= p
+        gaps = eigengap_vector(values, cfg.max_speakers)
+        gp = float(gaps.max()) / (float(values[-1]) + cfg.epsilon)
+        rows.append((p, gp, p / max(gp, cfg.epsilon), 1 + int(np.argmax(gaps)), gaps))
+    return rows
+
+
+def _assert_scan_is_exact_prefix_of_full_scan(a: AffinityMatrix, cfg: NmeConfig):
+    scan = nme_scan(a, cfg)
+    ref = _full_reference_scan(a, cfg, scan.p_max)
+    kept = len(scan.entries)
+    for e, (p, gp, rp, k, gaps) in zip(scan.entries, ref[:kept]):
+        assert (e.p, e.gp, e.rp, e.k_at_p) == (p, gp, rp, k)
+        assert e.eigengap.tobytes() == gaps.tobytes()
+    best = min(ref, key=lambda row: (row[2], row[0]))
+    assert scan.p_hat == best[0]
+    assert scan.k_hat == (cfg.fixed_k if cfg.fixed_k is not None else min(best[3], cfg.max_speakers))
+    for p, _, rp, _, _ in ref[kept:]:
+        assert rp >= p / max(1.0, cfg.epsilon)  # r_p >= p for epsilon <= 1
+        assert p >= best[2]
+    return scan
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=_affinities_with_duplicates(),
+    max_speakers=st.integers(1, 8),
+    p_max=st.one_of(st.none(), st.integers(1, 40)),
+    epsilon=st.sampled_from([1e-10, 1e-3, 2.0]),
+)
+def test_nme_scan_early_stop_equals_full_scan(a, max_speakers, p_max, epsilon) -> None:
+    cfg = NmeConfig(epsilon=epsilon, p_max=p_max, max_speakers=max_speakers)
+    _assert_scan_is_exact_prefix_of_full_scan(a, cfg)
+
+
+def test_nme_scan_early_stop_equals_full_scan_on_a_meeting() -> None:
+    emb, _ = generate(SynthSpec(n_clusters=4, segments_per_cluster=75, dim=192, noise=0.15, seed=1))
+    scan = _assert_scan_is_exact_prefix_of_full_scan(cosine_affinity(emb), NmeConfig())
+    assert (emb.n, scan.p_max, len(scan.entries)) == (300, 75, 63)  # stops once p reaches r(8) ~ 63.1
+    assert (scan.p_hat, scan.k_hat) == (8, 4)
+
+
 def test_nme_scan_agrees_with_probe_within_tolerance() -> None:
     rng = np.random.default_rng(8)
     a = cosine_affinity(random_embeddings(rng, 16, 4))
@@ -351,7 +402,12 @@ def test_nme_scan_p_max_clamped_to_n() -> None:
     a = cosine_affinity(random_embeddings(rng, 5, 3))
     scan = nme_scan(a, NmeConfig(p_max=50))
     assert scan.p_max == 5
-    assert [e.p for e in scan.entries] == [1, 2, 3, 4, 5]
+    # r = 1e10, 3.37, 6.74: the scan stops before p=4 >= r(2); p=4 and p=5,
+    # probed directly, cannot beat r(2) either.
+    assert [e.p for e in scan.entries] == [1, 2, 3]
+    assert scan.p_hat == 2
+    for p in (4, 5):
+        assert nme_at(a, p).rp >= p >= scan.entry_at(2).rp
 
 
 def test_nme_scan_max_speakers_caps_estimate() -> None:
@@ -366,11 +422,27 @@ def test_nme_scan_max_speakers_caps_estimate() -> None:
 def test_nme_scan_record_invariants_enforced(two_ideal_pairs) -> None:
     from nmesc import NmeScan
 
-    scan = nme_scan(cosine_affinity(two_ideal_pairs), NmeConfig(p_max=2))
+    stopped = nme_scan(cosine_affinity(two_ideal_pairs), NmeConfig(p_max=2))
+    assert len(stopped.entries) == 1  # 1 + 1 >= r(1) ~ 1 justifies the stop
     with pytest.raises(ValueError):
-        NmeScan(entries=scan.entries, p_hat=3, k_hat=scan.k_hat, p_max=scan.p_max)
+        NmeScan(entries=stopped.entries, p_hat=2, k_hat=stopped.k_hat, p_max=stopped.p_max)
     with pytest.raises(ValueError):
-        NmeScan(entries=scan.entries[:1], p_hat=1, k_hat=1, p_max=2)
+        NmeScan(entries=stopped.entries, p_hat=1, k_hat=0, p_max=stopped.p_max)
+    with pytest.raises(ValueError):
+        NmeScan(entries=stopped.entries, p_hat=1, k_hat=1, p_max=0)
+
+    rng = np.random.default_rng(7)
+    full = nme_scan(cosine_affinity(random_embeddings(rng, 20, 4)), NmeConfig())
+    assert [e.p for e in full.entries] == [1, 2, 3, 4, 5] and full.p_hat == 2
+    entries = full.entries
+    NmeScan(entries=entries, p_hat=2, k_hat=1, p_max=5)
+    # min r_p = r(2) ~ 26.4, so no stop before p_max = 5 is justified; nor is a gap.
+    truncated = (entries[:0], entries[:1], entries[:2], entries[:4])
+    for bad in truncated + (entries[:2] + entries[3:], entries[1:], entries[::-1]):
+        with pytest.raises(ValueError):
+            NmeScan(entries=bad, p_hat=1, k_hat=1, p_max=5)
+    with pytest.raises(ValueError):
+        NmeScan(entries=entries, p_hat=1, k_hat=1, p_max=4)
 
 
 def test_nme_config_validation() -> None:
