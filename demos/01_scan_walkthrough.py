@@ -6,23 +6,32 @@ computes the normalized maximum eigengap g_p plus the tuning ratio
 r_p = p / g_p. The p with minimal ratio wins, and its largest eigengap
 fixes k. Since g_p <= 1, every r_p >= p, so the scan stops once p reaches
 the smallest ratio so far; on long recordings that is often before p_max.
+Before it takes a spectrum, the scan also bounds r_p from below with
+eigenvalue inequalities, and skips the p whose bound is no better than the
+best ratio so far.
 """
 
 import numpy as np
 
 from nmesc import NmeConfig, SynthSpec, best_map_accuracy, cosine_affinity, generate, nme_sc, nme_scan
 
-spec = SynthSpec(n_clusters=3, segments_per_cluster=25, dim=32, noise=0.12, seed=13)
+spec = SynthSpec(n_clusters=3, segments_per_cluster=40, dim=32, noise=0.12, seed=14)
 emb, truth = generate(spec)
 print(f"synthetic corpus: {emb.n} segments, {spec.n_clusters} true speakers, dim {spec.dim}\n")
 
 scan = nme_scan(cosine_affinity(emb), NmeConfig())
+skipped = dict(scan.skipped)
+last = max([e.p for e in scan.entries] + list(skipped))
 print(f"{'p':>4} {'g_p':>10} {'r_p':>14} {'k(p)':>5}")
-for entry in scan.entries:
+for p in range(1, last + 1):
+    if p in skipped:
+        print(f"{p:>4} {'skipped':>10} {'>= ' + format(skipped[p], '.4f'):>14}")
+        continue
+    entry = scan.entry_at(p)
     marker = "  <- p_hat" if entry.p == scan.p_hat else ""
     print(f"{entry.p:>4} {entry.gp:>10.6f} {entry.rp:>14.4f} {entry.k_at_p:>5}{marker}")
 
-last = scan.entries[-1].p
+print(f"\n{len(scan.entries)} p evaluated, {len(skipped)} skipped: each bound is >= the best r_p before it")
 if last < scan.p_max:
     print(f"stopped after p = {last} of p_max = {scan.p_max}: p = {last + 1} >= min r_p, so no later p can win")
 else:

@@ -57,7 +57,7 @@ def _write_manifest(primary_out: str | Path, manifest: RunManifest) -> Path:
 
 
 def scan_to_csv(scan: NmeScan) -> str:
-    """Render a scan as CSV with p_hat/k_hat footer comments."""
+    """Render a scan as CSV, one row per evaluated p, with p_hat/k_hat footer comments."""
     lines = ["p,g_p,r_p,k_at_p"]
     for e in scan.entries:
         lines.append(f"{e.p},{e.gp!r},{e.rp!r},{e.k_at_p}")

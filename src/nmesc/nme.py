@@ -32,6 +32,7 @@ __all__ = [
     "NmeProbe",
     "NmeScanEntry",
     "NmeScan",
+    "NotEvaluatedError",
     "IsolatedNodeError",
     "TooFewEigenvaluesError",
     "InputTooSmallError",
@@ -56,6 +57,10 @@ class TooFewEigenvaluesError(ValueError):
 
 class InputTooSmallError(ValueError):
     """The scan needs at least 4 segments to be meaningful."""
+
+
+class NotEvaluatedError(ValueError):
+    """The scan holds no entry for this p: it was skipped or lies outside 1..p_last."""
 
 
 @dataclass(frozen=True)
@@ -121,28 +126,51 @@ class NmeScanEntry:
 class NmeScan:
     """Scan over p = 1, ..., p_last <= p_max with the selected p_hat and k_hat.
 
-    p_last < p_max only when p_last + 1 >= min r_p: as r_p >= p, no later p wins.
+    entries holds the evaluated p, ascending; skipped holds (p, bound) for each
+    p whose certified lower bound on r_p was >= the best r_p of the entries
+    before it. Together they cover 1..p_last once each. p_last < p_max only
+    when p_last + 1 >= min r_p: as r_p >= p, no later p wins.
     """
 
     entries: tuple[NmeScanEntry, ...]
     p_hat: int
     k_hat: int
     p_max: int
+    skipped: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        p_last = len(self.entries)
-        if not 1 <= p_last <= self.p_max or [e.p for e in self.entries] != list(range(1, p_last + 1)):
-            raise ValueError("entries must cover p = 1, ..., p_last <= p_max exactly once, ascending")
+        evaluated = [e.p for e in self.entries]
+        if not evaluated or any(q <= p for p, q in zip(evaluated, evaluated[1:])):
+            raise ValueError("entries must be non-empty and strictly ascending in p")
+        covered = sorted(evaluated + [p for p, _ in self.skipped])
+        p_last = covered[-1]
+        if not p_last <= self.p_max or covered != list(range(1, p_last + 1)):
+            raise ValueError("entries and skipped must cover p = 1, ..., p_last <= p_max exactly once")
         r_min = min(e.rp for e in self.entries)
         if p_last < self.p_max and p_last + 1 < r_min:
             raise ValueError(f"scan stops at p={p_last} < p_max={self.p_max}, but min r_p={r_min} > p+1")
-        if not 1 <= self.p_hat <= p_last:
-            raise ValueError(f"p_hat={self.p_hat} outside [1, {p_last}]")
+        for p, bound in self.skipped:
+            before = [e.rp for e in self.entries if e.p < p]
+            if not before or not bound >= min(before):
+                raise ValueError(f"skipped p={p} has r_p bound {bound} below the best r_p before it")
+        if self.p_hat not in evaluated:
+            raise ValueError(f"p_hat={self.p_hat} is not an evaluated p")
         if self.k_hat < 1:
             raise ValueError("k_hat must be >= 1")
 
     def entry_at(self, p: int) -> NmeScanEntry:
-        return self.entries[p - 1]
+        """The entry of an evaluated p.
+
+        Raises:
+            NotEvaluatedError: p was skipped, or lies outside 1..p_last.
+        """
+        for e in self.entries:
+            if e.p == p:
+                return e
+        for q, bound in self.skipped:
+            if q == p:
+                raise NotEvaluatedError(f"p={p} was skipped: its r_p is at least {bound}")
+        raise NotEvaluatedError(f"p={p} was not scanned")
 
 
 @dataclass(frozen=True)
@@ -218,6 +246,31 @@ def _nme_metrics(values: np.ndarray, p: int, cfg: NmeConfig):
     return gp, rp, k, gaps
 
 
+# Rounding margin of the skip bound, relative to lambda_max + 1; see nme_scan.
+_SKIP_MARGIN = 1e-9
+
+
+def _r_lower_bound(lap: np.ndarray, basis: np.ndarray, lower: np.ndarray, p: int, cfg: NmeConfig) -> float:
+    """A lower bound on the r_p that eigvalsh(lap) yields, without solving for lap's spectrum.
+
+    lap is the Laplacian L_p, lower the computed ascending eigenvalues of an
+    L_q with q <= p, and basis an N x m matrix with orthonormal columns,
+    m = min(max_speakers, N - 1) + 1. L_p - L_q is a graph Laplacian, hence
+    positive semi-definite, so lambda_i(L_p) >= lambda_i(L_q) (Weyl), and
+    lambda_i(L_p) <= theta_i, the ascending eigenvalues of basis^T L_p basis
+    (Courant-Fischer). lambda_max(L_p) >= t = max(lambda_max(L_q), max diag L_p).
+    Each eigenvalue bound is widened by the rounding margin
+    delta = _SKIP_MARGIN * (t + 1).
+    """
+    m = basis.shape[1]
+    theta = np.linalg.eigvalsh(basis.T @ (lap @ basis))  # m x m Ritz matrix, not a spectrum of L
+    top = max(float(lower[-1]), float(lap.diagonal().max()))
+    delta = _SKIP_MARGIN * (top + 1.0)
+    gap_hi = max(float(np.max(theta[1:] - lower[: m - 1])) + 2.0 * delta, 0.0)
+    gp_hi = gap_hi / (max(top - delta, 0.0) + cfg.epsilon)
+    return p / max(gp_hi, cfg.epsilon)
+
+
 def _pruned_laplacians(order: np.ndarray, p_max: int):
     """Yield the pruned graph's unnormalized Laplacian L for p = 1, ..., p_max.
 
@@ -276,8 +329,26 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     >= -epsilon every gap is <= lambda_max + epsilon, so by monotone rounding
     g_q <= 1 and r_q >= q for epsilon <= 1 (for epsilon > 1, r_q = q/epsilon
     grows with q and p_hat = 1). LAPACK's error at N <= 480 is about 1e-13, far
-    inside epsilon = 1e-10. Kept entries, p_hat and k_hat equal a full scan's
-    bit for bit.
+    inside epsilon = 1e-10.
+
+    The scan also skips each p it can prove will not beat the best r_p. Once an
+    evaluated p fails to improve on the best, eigh of its Laplacian gives a
+    basis of its lowest m = min(max_speakers, N - 1) + 1 eigenvectors, kept
+    until the next new best. Every later p first costs an N x N x m product:
+    _r_lower_bound bounds r_p from below (Weyl against the last evaluated
+    spectrum, Courant-Fischer on the basis), and p is skipped when that bound
+    is >= the best r_p; equality may skip, as ties go to the lower p. In
+    floating point: Laplacian entries are multiples of 0.5, so L_p is exact.
+    eigvalsh is backward stable, so each computed eigenvalue, and each Ritz
+    value of the orthonormal-to-rounding basis, lies within about N * u *
+    ||L_p|| of the exact one (u = 2^-53). By Gershgorin, ||L_p|| <=
+    2 max diag L_p <= 2t, so the margin delta = 1e-9 * (t + 1) of
+    _r_lower_bound exceeds that error about 1e4 times at N = 480. Hence the
+    computed max gap is <= the bound's gap and the computed lambda_max >= its
+    lambda_max, and as rounding is monotone the computed r_p >= the bound:
+    a skipped p could not have become the best.
+
+    Kept entries, p_hat and k_hat equal a full scan's bit for bit.
 
     Raises:
         InputTooSmallError: fewer than 4 segments.
@@ -290,19 +361,29 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
         raise InputTooSmallError(f"need at least 4 segments, got {n}")
     p_max = cfg.p_max if cfg.p_max is not None else max(1, n // 4)
     p_max = min(int(p_max), n)
+    m = min(cfg.max_speakers, n - 1) + 1
 
-    entries = []
-    best = None
-    for p, lap in enumerate(_pruned_laplacians(descending_order(a.data), p_max), start=1):
+    entries, skipped = [], []
+    best = basis = None
+    order = descending_order(a.data)[:, :p_max].copy()  # frees the other columns before any eigh
+    for p, lap in enumerate(_pruned_laplacians(order, p_max), start=1):
         if best is not None and p >= best.rp:
             break
-        gp, rp, k, gaps = _nme_metrics(eigvalsh(lap), p, cfg)
+        if basis is not None:
+            bound = _r_lower_bound(lap, basis, values, p, cfg)
+            if bound >= best.rp:
+                skipped.append((p, bound))
+                continue
+        values = eigvalsh(lap)
+        gp, rp, k, gaps = _nme_metrics(values, p, cfg)
         entries.append(NmeScanEntry(p=p, gp=gp, rp=rp, k_at_p=k, eigengap=gaps))
         if best is None or rp < best.rp:
-            best = entries[-1]
+            best, basis = entries[-1], None
+        elif basis is None:
+            basis = np.ascontiguousarray(eigh(lap).vectors[:, :m])
 
     k_hat = cfg.fixed_k if cfg.fixed_k is not None else min(best.k_at_p, cfg.max_speakers)
-    return NmeScan(entries=tuple(entries), p_hat=best.p, k_hat=k_hat, p_max=p_max)
+    return NmeScan(entries=tuple(entries), p_hat=best.p, k_hat=k_hat, p_max=p_max, skipped=tuple(skipped))
 
 
 def spectral_embedding(es: EigenSystem, k: int) -> np.ndarray:

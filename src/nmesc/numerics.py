@@ -77,10 +77,11 @@ def _validated_symmetric(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    hi, lo = float(m.max()), float(m.min())  # NaN propagates; +-inf lands in one of them
+    if not (np.isfinite(hi) and np.isfinite(lo)):
         raise NonFiniteError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.abs(m).max()))
-    asym = float(np.abs(m - m.T).max())
+    scale = max(1.0, hi, -lo)
+    asym = float((m - m.T).max())  # m - m.T is exactly antisymmetric: its max is its max |entry|
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     return m

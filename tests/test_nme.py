@@ -14,6 +14,8 @@ from nmesc import (
     IsolatedNodeError,
     NjwConfig,
     NmeConfig,
+    NmeScan,
+    NotEvaluatedError,
     SynthSpec,
     TooFewEigenvaluesError,
     WrongStateError,
@@ -36,7 +38,7 @@ from nmesc import (
     unnormalized_laplacian,
 )
 from nmesc.affinity import descending_order
-from nmesc.nme import _njw_embedding, _pruned_laplacians
+from nmesc.nme import _njw_embedding, _nme_metrics, _pruned_laplacians, _r_lower_bound
 from conftest import random_embeddings
 
 
@@ -239,8 +241,11 @@ def test_nme_scan_entry_structure_and_defaults() -> None:
     emb = random_embeddings(rng, 17, 4)
     scan = nme_scan(cosine_affinity(emb), NmeConfig())
     assert scan.p_max == 17 // 4
-    assert [e.p for e in scan.entries] == list(range(1, scan.p_max + 1))
-    for e in scan.entries:
+    evaluated = [e.p for e in scan.entries]
+    assert evaluated == list(range(1, scan.p_max + 1)) and scan.skipped == ()
+    for p in evaluated:
+        e = scan.entry_at(p)
+        assert e.p == p
         assert 0.0 <= e.gp <= 1.0
         assert e.rp >= e.p
         assert 1 <= e.k_at_p <= min(8, 16)
@@ -256,8 +261,10 @@ def test_nme_scan_deterministic() -> None:
     s1 = nme_scan(a, NmeConfig())
     s2 = nme_scan(a, NmeConfig())
     assert (s1.p_hat, s1.k_hat, s1.p_max) == (s2.p_hat, s2.k_hat, s2.p_max)
+    assert [e.p for e in s1.entries] == [e.p for e in s2.entries]
     for e1, e2 in zip(s1.entries, s2.entries):
         assert (e1.p, e1.gp, e1.rp, e1.k_at_p) == (e2.p, e2.gp, e2.rp, e2.k_at_p)
+    assert s1.skipped == s2.skipped
 
 
 @st.composite
@@ -316,39 +323,86 @@ def _full_reference_scan(a: AffinityMatrix, cfg: NmeConfig, p_max: int) -> list:
     return rows
 
 
-def _assert_scan_is_exact_prefix_of_full_scan(a: AffinityMatrix, cfg: NmeConfig):
+def _assert_scan_matches_full_scan(a: AffinityMatrix, cfg: NmeConfig):
+    """Compare a scan with the full public-chain reference, p by p."""
     scan = nme_scan(a, cfg)
     ref = _full_reference_scan(a, cfg, scan.p_max)
-    kept = len(scan.entries)
-    for e, (p, gp, rp, k, gaps) in zip(scan.entries, ref[:kept]):
-        assert (e.p, e.gp, e.rp, e.k_at_p) == (p, gp, rp, k)
-        assert e.eigengap.tobytes() == gaps.tobytes()
+    evaluated = {e.p: e for e in scan.entries}
+    skipped = dict(scan.skipped)
+    p_last = max([*evaluated, *skipped])
+    assert sorted([*evaluated, *skipped]) == list(range(1, p_last + 1))
+    for p, gp, rp, k, gaps in ref[:p_last]:
+        if p in evaluated:
+            e = evaluated[p]
+            assert (e.p, e.gp, e.rp, e.k_at_p) == (p, gp, rp, k)
+            assert e.eigengap.tobytes() == gaps.tobytes()
+        else:
+            assert skipped[p] <= rp  # the certified bound holds against the computed r_p
+            assert skipped[p] >= min(e.rp for q, e in evaluated.items() if q < p)
     best = min(ref, key=lambda row: (row[2], row[0]))
     assert scan.p_hat == best[0]
     assert scan.k_hat == (cfg.fixed_k if cfg.fixed_k is not None else min(best[3], cfg.max_speakers))
-    for p, _, rp, _, _ in ref[kept:]:
+    for p, _, rp, _, _ in ref[p_last:]:
         assert rp >= p / max(1.0, cfg.epsilon)  # r_p >= p for epsilon <= 1
         assert p >= best[2]
     return scan
 
 
+@st.composite
+def _clustered_affinities(draw) -> AffinityMatrix:
+    """Raw cosine affinities of synthetic 2-4 speaker corpora, N in [40, 200].
+
+    Past p_hat their scans often skip p, which the small drawn matrices rarely do.
+    """
+    spec = SynthSpec(
+        n_clusters=draw(st.integers(2, 4)),
+        segments_per_cluster=draw(st.integers(20, 50)),
+        dim=draw(st.sampled_from([32, 64])),
+        noise=draw(st.sampled_from([0.1, 0.15, 0.2])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return cosine_affinity(generate(spec)[0])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    a=_affinities_with_duplicates(),
+    a=st.one_of(_affinities_with_duplicates(), _clustered_affinities()),
     max_speakers=st.integers(1, 8),
     p_max=st.one_of(st.none(), st.integers(1, 40)),
     epsilon=st.sampled_from([1e-10, 1e-3, 2.0]),
 )
 def test_nme_scan_early_stop_equals_full_scan(a, max_speakers, p_max, epsilon) -> None:
     cfg = NmeConfig(epsilon=epsilon, p_max=p_max, max_speakers=max_speakers)
-    _assert_scan_is_exact_prefix_of_full_scan(a, cfg)
+    _assert_scan_matches_full_scan(a, cfg)
 
 
 def test_nme_scan_early_stop_equals_full_scan_on_a_meeting() -> None:
     emb, _ = generate(SynthSpec(n_clusters=4, segments_per_cluster=75, dim=192, noise=0.15, seed=1))
-    scan = _assert_scan_is_exact_prefix_of_full_scan(cosine_affinity(emb), NmeConfig())
-    assert (emb.n, scan.p_max, len(scan.entries)) == (300, 75, 63)  # stops once p reaches r(8) ~ 63.1
+    scan = _assert_scan_matches_full_scan(cosine_affinity(emb), NmeConfig())
+    # Stops once p reaches r(8) ~ 63.1; of p = 1..63, the 45 past p = 18 are skipped.
+    assert (emb.n, scan.p_max, len(scan.entries), len(scan.skipped)) == (300, 75, 18, 45)
+    assert [e.p for e in scan.entries] == list(range(1, 19))
     assert (scan.p_hat, scan.k_hat) == (8, 4)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_r_lower_bound_holds_at_exact_eigenvectors(seed) -> None:
+    # With L_q = L_p and its own eigenvectors as the basis, each Ritz value
+    # equals the eigenvalue up to rounding, so only the margin keeps the
+    # bound at or below the computed r_p.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 60))
+    a = cosine_affinity(random_embeddings(rng, n, int(rng.integers(2, 12))))
+    cfg = NmeConfig(max_speakers=int(rng.integers(1, 9)))
+    m = min(cfg.max_speakers, n - 1) + 1
+    for p, lap in enumerate(_pruned_laplacians(descending_order(a.data), n // 2), start=1):
+        values = eigvalsh(lap)
+        basis = np.ascontiguousarray(eigh(lap).vectors[:, :m])
+        bound = _r_lower_bound(lap, basis, values, p, cfg)
+        gp, rp = _nme_metrics(values, p, cfg)[:2]
+        assert bound <= rp
+        if gp > 1e-3:  # away from the epsilon floor the bound is tight
+            assert bound >= rp * (1 - 1e-6)
 
 
 def test_nme_scan_agrees_with_probe_within_tolerance() -> None:
@@ -373,7 +427,10 @@ def test_nme_scan_segment_permutation_leaves_metrics() -> None:
     cfg = NmeConfig()
     s1 = nme_scan(cosine_affinity(emb), cfg)
     s2 = nme_scan(cosine_affinity(permuted), cfg)
-    for e1, e2 in zip(s1.entries, s2.entries):
+    common = sorted({e.p for e in s1.entries} & {e.p for e in s2.entries})
+    assert common == [1, 2, 3]
+    for p in common:
+        e1, e2 = s1.entry_at(p), s2.entry_at(p)
         assert e1.gp == pytest.approx(e2.gp, abs=1e-9)
         assert e1.k_at_p == e2.k_at_p
 
@@ -419,9 +476,17 @@ def test_nme_scan_max_speakers_caps_estimate() -> None:
         assert entry.eigengap.shape[0] == 2
 
 
-def test_nme_scan_record_invariants_enforced(two_ideal_pairs) -> None:
-    from nmesc import NmeScan
+def _scan_with_skips() -> NmeScan:
+    emb, _ = generate(SynthSpec(n_clusters=2, segments_per_cluster=30, dim=16, noise=0.1, seed=47))
+    scan = nme_scan(cosine_affinity(emb), NmeConfig())
+    # r(7) ~ 45.96 is the best; p = 9, 11 and 13 are certified not to beat it.
+    assert [e.p for e in scan.entries] == [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15]
+    assert [p for p, _ in scan.skipped] == [9, 11, 13]
+    assert (scan.p_hat, scan.k_hat, scan.p_max) == (7, 2, 15)
+    return scan
 
+
+def test_nme_scan_record_invariants_enforced(two_ideal_pairs) -> None:
     stopped = nme_scan(cosine_affinity(two_ideal_pairs), NmeConfig(p_max=2))
     assert len(stopped.entries) == 1  # 1 + 1 >= r(1) ~ 1 justifies the stop
     with pytest.raises(ValueError):
@@ -443,6 +508,44 @@ def test_nme_scan_record_invariants_enforced(two_ideal_pairs) -> None:
             NmeScan(entries=bad, p_hat=1, k_hat=1, p_max=5)
     with pytest.raises(ValueError):
         NmeScan(entries=entries, p_hat=1, k_hat=1, p_max=4)
+
+    # A scan with skipped p: entries and skipped must tile 1..p_last, and each
+    # skipped bound must be >= the best r_p of the entries before it.
+    scan = _scan_with_skips()
+    entries, skipped = scan.entries, scan.skipped
+    r_best = scan.entry_at(7).rp
+
+    def build(entries=entries, skipped=skipped, p_hat=7):
+        return NmeScan(entries=entries, p_hat=p_hat, k_hat=2, p_max=15, skipped=skipped)
+
+    build()
+    build(skipped=skipped[:2] + ((13, r_best),))  # a bound equal to the best r may skip: ties go lower
+    bad = (
+        dict(skipped=skipped + ((10, 60.0),)),  # overlaps an entry
+        dict(skipped=skipped + ((9, 60.0),)),  # skipped twice
+        dict(skipped=skipped[:1] + skipped[2:]),  # p = 11 uncovered
+        dict(skipped=skipped + ((16, 60.0),)),  # beyond p_max
+        dict(skipped=skipped[:1] + ((11, r_best - 1e-9),) + skipped[2:]),  # bound below the best r
+        dict(skipped=((9, float("nan")),) + skipped[1:]),
+        dict(p_hat=9),  # p_hat must be evaluated
+        dict(entries=entries[:8] + entries[9:10] + entries[8:9] + entries[10:]),  # not ascending
+        dict(entries=(), skipped=tuple((p, 60.0) for p in range(1, 16))),
+    )
+    for change in bad:
+        with pytest.raises(ValueError):
+            build(**change)
+
+
+def test_nme_scan_entry_at_looks_up_by_p() -> None:
+    scan = _scan_with_skips()
+    for e in scan.entries:
+        assert scan.entry_at(e.p) is e
+    for p, _ in scan.skipped:
+        with pytest.raises(NotEvaluatedError, match=f"p={p} was skipped"):
+            scan.entry_at(p)
+    for p in (0, -1, 16):
+        with pytest.raises(NotEvaluatedError, match=f"p={p} was not scanned"):
+            scan.entry_at(p)
 
 
 def test_nme_config_validation() -> None:

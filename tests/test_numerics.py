@@ -90,6 +90,32 @@ def test_eigh_rejects_bad_input() -> None:
         eigh(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
+def test_solver_input_checks_at_their_tolerance(solver) -> None:
+    import nmesc
+
+    solve = getattr(nmesc, solver)
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(NonFiniteError):
+            solve(m)
+        m[2, 1] = 7.0  # also asymmetric: the finiteness check still comes first
+        with pytest.raises(NonFiniteError):
+            solve(m)
+    # The asymmetry tolerance is 1e-12 * max(1, max |entry|); here max |entry|
+    # is the -100 on the diagonal, so the tolerance is 1e-10.
+    for excess, raises in ((1.2e-10, True), (-1.2e-10, True), (0.8e-10, False), (-0.8e-10, False)):
+        m = np.diag([-100.0, 1.0, 2.0])
+        m[0, 1] = m[1, 0] = 5.0
+        m[0, 1] += excess
+        if raises:
+            with pytest.raises(ValueError, match="not symmetric"):
+                solve(m)
+        else:
+            solve(m)
+
+
 def test_eigvalsh_matches_eigh_and_validates() -> None:
     from nmesc import eigvalsh
 
