@@ -250,25 +250,37 @@ def _nme_metrics(values: np.ndarray, p: int, cfg: NmeConfig):
 _SKIP_MARGIN = 1e-9
 
 
-def _r_lower_bound(lap: np.ndarray, basis: np.ndarray, lower: np.ndarray, p: int, cfg: NmeConfig) -> float:
+def _r_lower_bound(lap: np.ndarray, theta: np.ndarray, lower: np.ndarray, p: int, cfg: NmeConfig) -> float:
     """A lower bound on the r_p that eigvalsh(lap) yields, without solving for lap's spectrum.
 
     lap is the Laplacian L_p, lower the computed ascending eigenvalues of an
-    L_q with q <= p, and basis an N x m matrix with orthonormal columns,
-    m = min(max_speakers, N - 1) + 1. L_p - L_q is a graph Laplacian, hence
-    positive semi-definite, so lambda_i(L_p) >= lambda_i(L_q) (Weyl), and
-    lambda_i(L_p) <= theta_i, the ascending eigenvalues of basis^T L_p basis
-    (Courant-Fischer). lambda_max(L_p) >= t = max(lambda_max(L_q), max diag L_p).
-    Each eigenvalue bound is widened by the rounding margin
-    delta = _SKIP_MARGIN * (t + 1).
+    L_q with q <= p, and theta the m = min(max_speakers, N - 1) + 1 lowest
+    ascending Ritz values of L_p on a basis with orthonormal columns. L_p - L_q
+    is a graph Laplacian, hence positive semi-definite, so lambda_i(L_p) >=
+    lambda_i(L_q) (Weyl), and lambda_i(L_p) <= theta_i (Courant-Fischer).
+    lambda_max(L_p) >= t = max(lambda_max(L_q), max diag L_p). Each eigenvalue
+    bound is widened by the rounding margin delta = _SKIP_MARGIN * (t + 1).
     """
-    m = basis.shape[1]
-    theta = np.linalg.eigvalsh(basis.T @ (lap @ basis))  # m x m Ritz matrix, not a spectrum of L
+    m = theta.shape[0]
     top = max(float(lower[-1]), float(lap.diagonal().max()))
     delta = _SKIP_MARGIN * (top + 1.0)
     gap_hi = max(float(np.max(theta[1:] - lower[: m - 1])) + 2.0 * delta, 0.0)
     gp_hi = gap_hi / (max(top - delta, 0.0) + cfg.epsilon)
     return p / max(gp_hi, cfg.epsilon)
+
+
+def _rayleigh_ritz_step(lap: np.ndarray, basis: np.ndarray, lap_basis: np.ndarray):
+    """The m lowest Ritz pairs of lap on span[basis, lap @ basis], m = basis.shape[1].
+
+    One block-Krylov step: Householder QR makes the 2m columns orthonormal (N
+    columns when 2m > N), and eigh of the small Ritz matrix rotates them.
+    lap_basis is lap @ basis, already formed by the caller. Returns the new
+    N x m basis and its ascending Ritz values.
+    """
+    m = basis.shape[1]
+    q = np.linalg.qr(np.hstack((basis, lap_basis)))[0]
+    theta, y = np.linalg.eigh(q.T @ (lap @ q))  # small Ritz matrix, not a spectrum of L
+    return q @ y[:, :m], theta[:m]
 
 
 def _pruned_laplacians(order: np.ndarray, p_max: int):
@@ -331,22 +343,34 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     grows with q and p_hat = 1). LAPACK's error at N <= 480 is about 1e-13, far
     inside epsilon = 1e-10.
 
-    The scan also skips each p it can prove will not beat the best r_p. Once an
-    evaluated p fails to improve on the best, eigh of its Laplacian gives a
-    basis of its lowest m = min(max_speakers, N - 1) + 1 eigenvectors, kept
-    until the next new best. Every later p first costs an N x N x m product:
-    _r_lower_bound bounds r_p from below (Weyl against the last evaluated
-    spectrum, Courant-Fischer on the basis), and p is skipped when that bound
-    is >= the best r_p; equality may skip, as ties go to the lower p. In
-    floating point: Laplacian entries are multiples of 0.5, so L_p is exact.
-    eigvalsh is backward stable, so each computed eigenvalue, and each Ritz
-    value of the orthonormal-to-rounding basis, lies within about N * u *
-    ||L_p|| of the exact one (u = 2^-53). By Gershgorin, ||L_p|| <=
-    2 max diag L_p <= 2t, so the margin delta = 1e-9 * (t + 1) of
-    _r_lower_bound exceeds that error about 1e4 times at N = 480. Hence the
-    computed max gap is <= the bound's gap and the computed lambda_max >= its
-    lambda_max, and as rounding is monotone the computed r_p >= the bound:
-    a skipped p could not have become the best.
+    The scan also skips each p it can prove will not beat the best r_p. The
+    first evaluated p that fails to improve on the best takes one eigh of its
+    Laplacian, whose lowest m = min(max_speakers, N - 1) + 1 eigenvectors
+    become the basis V; it is the scan's only N x N eigh. Every later p first
+    costs one N x N x m product, L_p V: _r_lower_bound bounds r_p from below
+    (Weyl against the last evaluated spectrum, Courant-Fischer on the Ritz
+    values of V^T L_p V), and p is skipped when that bound is >= the best r_p;
+    equality may skip, as ties go to the lower p. When the bound falls short,
+    one Rayleigh-Ritz step on span[V, L_p V] (_rayleigh_ritz_step) replaces V
+    by the m lowest Ritz vectors of that 2m-dimensional space, and p is bounded
+    again from their Ritz values before it pays for eigvalsh. So V follows the
+    spectrum as p grows, instead of going stale or being retaken.
+
+    In floating point: Laplacian entries are multiples of 0.5, so L_p is exact.
+    eigvalsh and eigh are backward stable, so each computed eigenvalue, and
+    each Ritz value of a basis that is orthonormal to rounding, lies within
+    about N * u * ||L_p|| of the exact one (u = 2^-53). The refreshed V is
+    orthonormal to rounding: Householder QR returns an orthonormal Q even when
+    [V, L_p V] is rank-deficient, as it is when V spans an invariant subspace
+    (the extra columns are then any orthonormal completion, which is still a
+    valid basis); the eigenvector matrix Y of the small Ritz matrix is
+    orthogonal, so Q Y is too; and when 2m > N, Q is N x N and its Ritz values
+    are the whole spectrum. By Gershgorin, ||L_p|| <= 2 max diag L_p <= 2t, so
+    the margin delta = 1e-9 * (t + 1) of _r_lower_bound exceeds that error
+    about 1e4 times at N = 480. Hence the computed max gap is <= the bound's
+    gap and the computed lambda_max >= its lambda_max, and as rounding is
+    monotone the computed r_p >= the bound: a skipped p could not have become
+    the best.
 
     Kept entries, p_hat and k_hat equal a full scan's bit for bit.
 
@@ -370,7 +394,12 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
         if best is not None and p >= best.rp:
             break
         if basis is not None:
-            bound = _r_lower_bound(lap, basis, values, p, cfg)
+            lap_basis = lap @ basis
+            theta = np.linalg.eigvalsh(basis.T @ lap_basis)  # m x m Ritz matrix, not a spectrum of L
+            bound = _r_lower_bound(lap, theta, values, p, cfg)
+            if bound < best.rp:
+                basis, theta = _rayleigh_ritz_step(lap, basis, lap_basis)
+                bound = _r_lower_bound(lap, theta, values, p, cfg)
             if bound >= best.rp:
                 skipped.append((p, bound))
                 continue
@@ -378,7 +407,7 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
         gp, rp, k, gaps = _nme_metrics(values, p, cfg)
         entries.append(NmeScanEntry(p=p, gp=gp, rp=rp, k_at_p=k, eigengap=gaps))
         if best is None or rp < best.rp:
-            best, basis = entries[-1], None
+            best = entries[-1]
         elif basis is None:
             basis = np.ascontiguousarray(eigh(lap).vectors[:, :m])
 

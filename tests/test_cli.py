@@ -231,3 +231,17 @@ def test_module_invocation_subprocess(tmp_path) -> None:
         text=True,
     )
     assert usage.returncode == 2
+
+
+def test_cluster_does_not_import_the_scorers_solver(tmp_path) -> None:
+    # Only scoring needs scipy.optimize; a fresh interpreter shows what cluster loads.
+    emb, _ = _synth(tmp_path, clusters=3, per_cluster=10, dim=16)
+    script = (
+        "import sys\n"
+        "from nmesc.cli import main\n"
+        f"assert main(['cluster', '--embeddings', {str(emb)!r}, '--out', {str(tmp_path / 'out.rttm')!r}]) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
