@@ -272,13 +272,23 @@ def _r_lower_bound(lap: np.ndarray, theta: np.ndarray, lower: np.ndarray, p: int
 def _rayleigh_ritz_step(lap: np.ndarray, basis: np.ndarray, lap_basis: np.ndarray):
     """The m lowest Ritz pairs of lap on span[basis, lap @ basis], m = basis.shape[1].
 
-    One block-Krylov step: Householder QR makes the 2m columns orthonormal (N
-    columns when 2m > N), and eigh of the small Ritz matrix rotates them.
-    lap_basis is lap @ basis, already formed by the caller. Returns the new
-    N x m basis and its ascending Ritz values.
+    One block-Krylov step. The basis is first rotated to its own Ritz vectors
+    v_i, and lap @ basis to lap v_i, so the new directions are the residuals
+    r_i = lap v_i - theta_i v_i. A residual of norm <= _SKIP_MARGIN *
+    (max diag lap + 1) marks an eigenpair that has converged, such as the
+    constant vector at theta = 0; it is left out, as its direction is rounding
+    noise that QR would normalize and pass on to every later column.
+    Householder QR makes the columns orthonormal (N of them when there are
+    more than N), and eigh of the small Ritz matrix rotates them. lap_basis is
+    lap @ basis, already formed by the caller. Returns the new N x m basis and
+    its ascending Ritz values.
     """
     m = basis.shape[1]
-    q = np.linalg.qr(np.hstack((basis, lap_basis)))[0]
+    theta, s = np.linalg.eigh(basis.T @ lap_basis)  # m x m Ritz matrix, not a spectrum of L
+    basis, lap_basis = basis @ s, lap_basis @ s
+    residual = lap_basis - basis * theta
+    tol = _SKIP_MARGIN * (float(lap.diagonal().max()) + 1.0)
+    q = np.linalg.qr(np.hstack((basis, residual[:, np.linalg.norm(residual, axis=0) > tol])))[0]
     theta, y = np.linalg.eigh(q.T @ (lap @ q))  # small Ritz matrix, not a spectrum of L
     return q @ y[:, :m], theta[:m]
 
@@ -343,18 +353,23 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     grows with q and p_hat = 1). LAPACK's error at N <= 480 is about 1e-13, far
     inside epsilon = 1e-10.
 
-    The scan also skips each p it can prove will not beat the best r_p. The
-    first evaluated p that fails to improve on the best takes one eigh of its
-    Laplacian, whose lowest m = min(max_speakers, N - 1) + 1 eigenvectors
-    become the basis V; it is the scan's only N x N eigh. Every later p first
-    costs one N x N x m product, L_p V: _r_lower_bound bounds r_p from below
-    (Weyl against the last evaluated spectrum, Courant-Fischer on the Ritz
-    values of V^T L_p V), and p is skipped when that bound is >= the best r_p;
-    equality may skip, as ties go to the lower p. When the bound falls short,
-    one Rayleigh-Ritz step on span[V, L_p V] (_rayleigh_ritz_step) replaces V
-    by the m lowest Ritz vectors of that 2m-dimensional space, and p is bounded
-    again from their Ritz values before it pays for eigvalsh. So V follows the
-    spectrum as p grows, instead of going stale or being retaken.
+    The scan also skips each p it can prove will not beat the best r_p. Let
+    m = min(max_speakers, N - 1) + 1. The first evaluated p that fails to
+    improve on the best, and whose spectrum has lambda_{m+1} - lambda_m >
+    1e-9 * (lambda_max + 1) (or m = N), takes one eigh of its Laplacian; the
+    lowest m eigenvectors become the basis V. It is the scan's only N x N eigh.
+    The gap makes span V unique. At smaller p, L often has more than m
+    components, so its zero eigenvalue repeats, and eigh would return a slice
+    of that null space chosen by the BLAS build and thread count; the set of
+    skipped p would follow it. Every later p first costs one N x N x m
+    product, L_p V: _r_lower_bound bounds r_p from below (Weyl against the
+    last evaluated spectrum, Courant-Fischer on the Ritz values of V^T L_p V),
+    and p is skipped when that bound is >= the best r_p; equality may skip, as
+    ties go to the lower p. When the bound falls short, one Rayleigh-Ritz step
+    on span[V, L_p V] (_rayleigh_ritz_step) replaces V by the m lowest Ritz
+    vectors of that space, and p is bounded again from their Ritz values
+    before it pays for eigvalsh. So V follows the spectrum as p grows, instead
+    of going stale or being retaken.
 
     In floating point: Laplacian entries are multiples of 0.5, so L_p is exact.
     eigvalsh and eigh are backward stable, so each computed eigenvalue, and
@@ -363,14 +378,15 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     orthonormal to rounding: Householder QR returns an orthonormal Q even when
     [V, L_p V] is rank-deficient, as it is when V spans an invariant subspace
     (the extra columns are then any orthonormal completion, which is still a
-    valid basis); the eigenvector matrix Y of the small Ritz matrix is
-    orthogonal, so Q Y is too; and when 2m > N, Q is N x N and its Ritz values
-    are the whole spectrum. By Gershgorin, ||L_p|| <= 2 max diag L_p <= 2t, so
-    the margin delta = 1e-9 * (t + 1) of _r_lower_bound exceeds that error
-    about 1e4 times at N = 480. Hence the computed max gap is <= the bound's
-    gap and the computed lambda_max >= its lambda_max, and as rounding is
-    monotone the computed r_p >= the bound: a skipped p could not have become
-    the best.
+    valid basis); the residuals that the step leaves out only shrink a space
+    that still holds V, so its m lowest Ritz values stay upper bounds;
+    the eigenvector matrix Y of the small Ritz matrix is orthogonal, so Q Y is
+    too; and when Q has N columns, its Ritz values are the whole spectrum. By
+    Gershgorin, ||L_p|| <= 2 max diag L_p <= 2t, so the margin
+    delta = 1e-9 * (t + 1) of _r_lower_bound exceeds that error about 1e4
+    times at N = 480. Hence the computed max gap is <= the bound's gap and the
+    computed lambda_max >= its lambda_max, and as rounding is monotone the
+    computed r_p >= the bound: a skipped p could not have become the best.
 
     Kept entries, p_hat and k_hat equal a full scan's bit for bit.
 
@@ -408,7 +424,7 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
         entries.append(NmeScanEntry(p=p, gp=gp, rp=rp, k_at_p=k, eigengap=gaps))
         if best is None or rp < best.rp:
             best = entries[-1]
-        elif basis is None:
+        elif basis is None and (m == n or values[m] - values[m - 1] > _SKIP_MARGIN * (values[-1] + 1.0)):
             basis = np.ascontiguousarray(eigh(lap).vectors[:, :m])
 
     k_hat = cfg.fixed_k if cfg.fixed_k is not None else min(best.k_at_p, cfg.max_speakers)
