@@ -8,7 +8,10 @@ fixes k. Since g_p <= 1, every r_p >= p, so the scan stops once p reaches
 the smallest ratio so far; on long recordings that is often before p_max.
 Before it takes a spectrum, the scan also bounds r_p from below with
 eigenvalue inequalities, and skips the p whose bound is no better than the
-best ratio so far.
+best ratio so far. A p whose graph still falls apart into more pieces than
+the gap window reads (m = max_speakers + 1) has g_p = 0 and r_p = p/epsilon
+exactly, so it is skipped with that bound after a component count; at p = 1
+each segment links only to itself, L = 0, and its spectrum needs no solve.
 """
 
 import numpy as np
@@ -19,13 +22,15 @@ spec = SynthSpec(n_clusters=3, segments_per_cluster=40, dim=32, noise=0.12, seed
 emb, truth = generate(spec)
 print(f"synthetic corpus: {emb.n} segments, {spec.n_clusters} true speakers, dim {spec.dim}\n")
 
-scan = nme_scan(cosine_affinity(emb), NmeConfig())
+cfg = NmeConfig()
+scan = nme_scan(cosine_affinity(emb), cfg)
 skipped = dict(scan.skipped)
 last = max([e.p for e in scan.entries] + list(skipped))
 print(f"{'p':>4} {'g_p':>10} {'r_p':>14} {'k(p)':>5}")
 for p in range(1, last + 1):
     if p in skipped:
-        print(f"{p:>4} {'skipped':>10} {'>= ' + format(skipped[p], '.4f'):>14}")
+        reason = "  (>= m components: r_p = p/epsilon)" if skipped[p] == p / cfg.epsilon else ""
+        print(f"{p:>4} {'skipped':>10} {'>= ' + format(skipped[p], '.4f'):>14}{reason}")
         continue
     entry = scan.entry_at(p)
     marker = "  <- p_hat" if entry.p == scan.p_hat else ""

@@ -168,9 +168,42 @@ def kernel_affinity(emb: EmbeddingSequence, sigma: float) -> AffinityMatrix:
     return AffinityMatrix(data=data, kind=AffinityKind.KERNELIZED, sigma=float(sigma))
 
 
-def descending_order(data: np.ndarray) -> np.ndarray:
-    """Per-row column indices sorted by descending value, ties by ascending column."""
-    return np.argsort(-data, axis=1, kind="stable")
+# Rows per block in descending_order. With whole-matrix temporaries instead,
+# the meetings benchmark (N = 300-480) peaked 1.6 MiB higher in resident
+# memory than with the full argsort they replace; with 64-row blocks it did not.
+_ORDER_BLOCK_ROWS = 64
+
+
+def descending_order(data: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` per-row column indices by descending value, ties by ascending column.
+
+    Equals np.argsort(-data, axis=1, kind="stable")[:, :count] for finite
+    data, ties included, without sorting whole rows. np.partition finds each
+    row's count-th largest value; np.nonzero lists the candidates at or above
+    it, row by row in ascending column order (ties can make more than count).
+    They are packed left-aligned into rows padded with +inf, so a stable sort
+    of each packed row keeps ascending columns among ties and the padding last.
+    Rows go in blocks of _ORDER_BLOCK_ROWS, so every temporary stays small.
+    """
+    data = np.asarray(data, dtype=float)
+    n, width = data.shape
+    count = int(count)
+    if not 1 <= count <= width:
+        raise ValueError(f"count={count} outside [1, {width}]")
+    order = np.empty((n, count), dtype=np.intp)
+    for start in range(0, n, _ORDER_BLOCK_ROWS):
+        block = data[start : start + _ORDER_BLOCK_ROWS]
+        threshold = np.partition(block, width - count, axis=1)[:, [width - count]]
+        rows, cols = np.nonzero(block >= threshold)
+        per_row = np.bincount(rows, minlength=block.shape[0])
+        slot = np.arange(rows.shape[0]) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+        packed = np.full((block.shape[0], int(per_row.max())), np.inf)
+        packed[rows, slot] = -block[rows, cols]
+        packed_cols = np.zeros(packed.shape, dtype=np.intp)
+        packed_cols[rows, slot] = cols
+        ranks = np.argsort(packed, axis=1, kind="stable")[:, :count]
+        order[start : start + _ORDER_BLOCK_ROWS] = np.take_along_axis(packed_cols, ranks, axis=1)
+    return order
 
 
 def binarize(a: AffinityMatrix, p: int) -> AffinityMatrix:
@@ -189,7 +222,7 @@ def binarize(a: AffinityMatrix, p: int) -> AffinityMatrix:
     if not 1 <= p <= a.n:
         raise InvalidPError(f"p={p} outside [1, {a.n}]")
     data = np.zeros((a.n, a.n))
-    np.put_along_axis(data, descending_order(a.data)[:, :p], 1.0, axis=1)
+    np.put_along_axis(data, descending_order(a.data, p), 1.0, axis=1)
     return AffinityMatrix(data=data, kind=AffinityKind.BINARIZED, p=p)
 
 

@@ -129,7 +129,7 @@ class NmeScan:
     entries holds the evaluated p, ascending; skipped holds (p, bound) for each
     p whose certified lower bound on r_p was >= the best r_p of the entries
     before it. Together they cover 1..p_last once each. p_last < p_max only
-    when p_last + 1 >= min r_p: as r_p >= p, no later p wins.
+    when p_last + 1 >= min r_p: as r_p >= p up to rounding, no later p wins.
     """
 
     entries: tuple[NmeScanEntry, ...]
@@ -246,31 +246,60 @@ def _nme_metrics(values: np.ndarray, p: int, cfg: NmeConfig):
     return gp, rp, k, gaps
 
 
-# Rounding margin of the skip bound, relative to lambda_max + 1; see nme_scan.
+# Rounding margin of the skip bound (relative to lambda_max + 1) and of the early stop; see nme_scan.
 _SKIP_MARGIN = 1e-9
+# Guard columns the skip basis carries beyond the m whose Ritz values enter the bound.
+_GUARD_COLUMNS = 3
+# The component certificate needs epsilon >= this many N * machine epsilons; see nme_scan.
+_CERTIFICATE_FLOOR = 100.0
 
 
-def _r_lower_bound(lap: np.ndarray, theta: np.ndarray, lower: np.ndarray, p: int, cfg: NmeConfig) -> float:
+def _r_lower_bound(
+    lap: np.ndarray, theta: np.ndarray, lower: np.ndarray, lap_x_norm: float, p: int, cfg: NmeConfig
+) -> float:
     """A lower bound on the r_p that eigvalsh(lap) yields, without solving for lap's spectrum.
 
     lap is the Laplacian L_p, lower the computed ascending eigenvalues of an
-    L_q with q <= p, and theta the m = min(max_speakers, N - 1) + 1 lowest
-    ascending Ritz values of L_p on a basis with orthonormal columns. L_p - L_q
-    is a graph Laplacian, hence positive semi-definite, so lambda_i(L_p) >=
-    lambda_i(L_q) (Weyl), and lambda_i(L_p) <= theta_i (Courant-Fischer).
-    lambda_max(L_p) >= t = max(lambda_max(L_q), max diag L_p). Each eigenvalue
-    bound is widened by the rounding margin delta = _SKIP_MARGIN * (t + 1).
+    L_q with q <= p, theta the ascending Ritz values of L_p on a basis of at
+    least m = min(max_speakers, N - 1) + 1 orthonormal columns, and
+    lap_x_norm = ||L_p x|| for a unit vector x. L_p - L_q is a graph
+    Laplacian, hence positive semi-definite, so lambda_i(L_p) >= lambda_i(L_q)
+    (Weyl), and lambda_i(L_p) <= theta_i for i <= m (Courant-Fischer); the
+    window of gaps needs only these m. lambda_max(L_p) >= t =
+    max(lambda_max(L_q), max diag L_p, ||L_p x||). Each eigenvalue bound is
+    widened by the rounding margin delta = _SKIP_MARGIN * (t + 1).
     """
-    m = theta.shape[0]
-    top = max(float(lower[-1]), float(lap.diagonal().max()))
+    m = min(cfg.max_speakers, lap.shape[0] - 1) + 1
+    top = max(float(lower[-1]), float(lap.diagonal().max()), lap_x_norm)
     delta = _SKIP_MARGIN * (top + 1.0)
-    gap_hi = max(float(np.max(theta[1:] - lower[: m - 1])) + 2.0 * delta, 0.0)
+    gap_hi = max(float(np.max(theta[1:m] - lower[: m - 1])) + 2.0 * delta, 0.0)
     gp_hi = gap_hi / (max(top - delta, 0.0) + cfg.epsilon)
     return p / max(gp_hi, cfg.epsilon)
 
 
+def _component_count(neighbours: np.ndarray) -> int:
+    """Connected components of the graph linking each row i to every neighbours[i, j].
+
+    Label propagation: every vertex takes the least label among itself and
+    its neighbours in both directions, then the label of its label, until
+    nothing changes. Labels stay vertex indices of the same component and
+    only fall, so each component ends labelled by its least vertex.
+    """
+    n, width = neighbours.shape
+    heads, tails = np.repeat(np.arange(n), width), neighbours.ravel()
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, heads, label[tails])
+        np.minimum.at(new, tails, label[heads])
+        new = new[new]
+        if np.array_equal(new, label):
+            return int(np.count_nonzero(label == np.arange(n)))
+        label = new
+
+
 def _rayleigh_ritz_step(lap: np.ndarray, basis: np.ndarray, lap_basis: np.ndarray):
-    """The m lowest Ritz pairs of lap on span[basis, lap @ basis], m = basis.shape[1].
+    """The w lowest Ritz pairs of lap on span[basis, lap @ basis], w = basis.shape[1].
 
     One block-Krylov step. The basis is first rotated to its own Ritz vectors
     v_i, and lap @ basis to lap v_i, so the new directions are the residuals
@@ -280,23 +309,23 @@ def _rayleigh_ritz_step(lap: np.ndarray, basis: np.ndarray, lap_basis: np.ndarra
     noise that QR would normalize and pass on to every later column.
     Householder QR makes the columns orthonormal (N of them when there are
     more than N), and eigh of the small Ritz matrix rotates them. lap_basis is
-    lap @ basis, already formed by the caller. Returns the new N x m basis and
+    lap @ basis, already formed by the caller. Returns the new N x w basis and
     its ascending Ritz values.
     """
-    m = basis.shape[1]
-    theta, s = np.linalg.eigh(basis.T @ lap_basis)  # m x m Ritz matrix, not a spectrum of L
+    w = basis.shape[1]
+    theta, s = np.linalg.eigh(basis.T @ lap_basis)  # w x w Ritz matrix, not a spectrum of L
     basis, lap_basis = basis @ s, lap_basis @ s
     residual = lap_basis - basis * theta
     tol = _SKIP_MARGIN * (float(lap.diagonal().max()) + 1.0)
     q = np.linalg.qr(np.hstack((basis, residual[:, np.linalg.norm(residual, axis=0) > tol])))[0]
     theta, y = np.linalg.eigh(q.T @ (lap @ q))  # small Ritz matrix, not a spectrum of L
-    return q @ y[:, :m], theta[:m]
+    return q @ y[:, :w], theta[:w]
 
 
 def _pruned_laplacians(order: np.ndarray, p_max: int):
     """Yield the pruned graph's unnormalized Laplacian L for p = 1, ..., p_max.
 
-    With order = descending_order(a.data), L equals
+    With order = descending_order(a.data, p_max), L equals
     unnormalized_laplacian(symmetrize(binarize(a, p))) exactly: p adds one
     neighbour cols[i] per row i, so L loses 0.5 at (i, cols[i]) and (cols[i], i)
     and its diagonal gains 0.5 plus 0.5 per incoming edge; all entries stay
@@ -330,7 +359,7 @@ def nme_at(a: AffinityMatrix, p: int, cfg: NmeConfig = NmeConfig()) -> NmeProbe:
     p = int(p)
     if not 1 <= p <= a.n:
         raise InvalidPError(f"p={p} outside [1, {a.n}]")
-    for lap in _pruned_laplacians(descending_order(a.data), p):
+    for lap in _pruned_laplacians(descending_order(a.data, p), p):
         pass  # the buffer now holds the Laplacian at p
     es = eigh(lap)
     gp, rp, k, gaps = _nme_metrics(es.values, p, cfg)
@@ -345,29 +374,42 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     (lowest p on ties); k_hat is the gap-argmax at p_hat capped by
     max_speakers, or cfg.fixed_k when set.
 
-    The scan stops before the first p >= the best r_p so far. Every r_q >= q,
-    so no later q can beat it, and ties go to the lower p. In floating point:
-    L is positive semi-definite, and while its smallest computed eigenvalue is
-    >= -epsilon every gap is <= lambda_max + epsilon, so by monotone rounding
-    g_q <= 1 and r_q >= q for epsilon <= 1 (for epsilon > 1, r_q = q/epsilon
-    grows with q and p_hat = 1). LAPACK's error at N <= 480 is about 1e-13, far
-    inside epsilon = 1e-10.
+    The scan stops before the first p with p * (1 - 1e-9) >= the best r_p so
+    far. L is positive semi-definite with lambda_1 = 0, so every gap is <=
+    lambda_max, g_q <= 1 and r_q >= q for epsilon <= 1: no later q can beat
+    the best, and ties go to the lower p (for epsilon > 1, r_q = q/epsilon
+    grows with q and p_hat = 1). In floating point the computed lambda_1 can
+    fall below 0 by the solver's error, about N * u * lambda_max (see below),
+    so the computed g_q can exceed 1 by about N * u, some 1e-13 at N = 480;
+    hence the factor 1 - 1e-9. With epsilon = 1e-10 the computed lambda_1 >=
+    -epsilon at N <= 480, so g_q <= 1 as rounding is monotone, but at
+    epsilon = 1e-14 it need not be.
 
     The scan also skips each p it can prove will not beat the best r_p. Let
-    m = min(max_speakers, N - 1) + 1. The first evaluated p that fails to
-    improve on the best, and whose spectrum has lambda_{m+1} - lambda_m >
-    1e-9 * (lambda_max + 1) (or m = N), takes one eigh of its Laplacian; the
-    lowest m eigenvectors become the basis V. It is the scan's only N x N eigh.
-    The gap makes span V unique. At smaller p, L often has more than m
+    m = min(max_speakers, N - 1) + 1 and w = min(m + 3, N). Before the skip
+    basis exists, a p whose graph (each row linked to its p nearest columns)
+    has at least m connected components has lambda_1 = ... = lambda_m = 0, so
+    every gap in the window is 0, g_p = 0 and r_p = p/epsilon; it is skipped
+    with that bound. Components only merge as p grows, so the count stops at
+    the first p with fewer than m. An all-zero L_p (p = 1 when each row's
+    nearest column is itself) has the all-zero spectrum and needs no solve.
+    The first evaluated p that fails to improve on the best, and whose
+    spectrum has lambda_{w+1} - lambda_w > 1e-9 * (lambda_max + 1) (or w = N),
+    takes one eigh of its Laplacian: the lowest w eigenvectors become the
+    basis V, and the top one the vector x. It is the scan's only N x N eigh.
+    The gap makes span V unique. At smaller p, L often has more than w
     components, so its zero eigenvalue repeats, and eigh would return a slice
     of that null space chosen by the BLAS build and thread count; the set of
-    skipped p would follow it. Every later p first costs one N x N x m
-    product, L_p V: _r_lower_bound bounds r_p from below (Weyl against the
-    last evaluated spectrum, Courant-Fischer on the Ritz values of V^T L_p V),
-    and p is skipped when that bound is >= the best r_p; equality may skip, as
-    ties go to the lower p. When the bound falls short, one Rayleigh-Ritz step
-    on span[V, L_p V] (_rayleigh_ritz_step) replaces V by the m lowest Ritz
-    vectors of that space, and p is bounded again from their Ritz values
+    skipped p would follow it. Every later p first costs one N x N x w
+    product, L_p V, and one power step on x: _r_lower_bound bounds r_p from
+    below (Weyl against the last evaluated spectrum, Courant-Fischer on the m
+    lowest Ritz values of V^T L_p V, and lambda_max >= ||L_p x||), x becomes
+    L_p x / ||L_p x||, and p is skipped when the bound is >= the best r_p;
+    equality may skip, as ties go to the lower p. The w - m guard columns
+    keep the m Ritz values the bound reads away from a block's last ones,
+    which converge slowest. When the bound falls short, one Rayleigh-Ritz
+    step on span[V, L_p V] (_rayleigh_ritz_step) replaces V by the w lowest
+    Ritz vectors of that space, and p is bounded again from their Ritz values
     before it pays for eigvalsh. So V follows the spectrum as p grows, instead
     of going stale or being retaken.
 
@@ -379,14 +421,29 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     [V, L_p V] is rank-deficient, as it is when V spans an invariant subspace
     (the extra columns are then any orthonormal completion, which is still a
     valid basis); the residuals that the step leaves out only shrink a space
-    that still holds V, so its m lowest Ritz values stay upper bounds;
-    the eigenvector matrix Y of the small Ritz matrix is orthogonal, so Q Y is
-    too; and when Q has N columns, its Ritz values are the whole spectrum. By
-    Gershgorin, ||L_p|| <= 2 max diag L_p <= 2t, so the margin
-    delta = 1e-9 * (t + 1) of _r_lower_bound exceeds that error about 1e4
-    times at N = 480. Hence the computed max gap is <= the bound's gap and the
-    computed lambda_max >= its lambda_max, and as rounding is monotone the
-    computed r_p >= the bound: a skipped p could not have become the best.
+    that still holds V, so its lowest Ritz values stay upper bounds; the
+    eigenvector matrix Y of the small Ritz matrix is orthogonal, so Q Y is
+    too; and when Q has N columns, its Ritz values are the whole spectrum.
+    The guard columns change none of this: the m lowest Ritz values of any
+    w-dimensional subspace bound lambda_1..lambda_m from above. x is a unit
+    vector to rounding, so the computed ||L_p x|| <= ||L_p|| = lambda_max up
+    to about N * u * ||L_p||; x need not be near an eigenvector. Nor is
+    ||L_p x|| ever 0: it is >= x^T L_p x, and neither a power step nor the
+    growth of L_p lowers that Rayleigh quotient from lambda_max(L_q) > 0,
+    its value at the start. By Gershgorin,
+    ||L_p|| <= 2 max diag L_p <= 2t, so the margin delta = 1e-9 * (t + 1) of
+    _r_lower_bound exceeds these errors about 1e4 times at N = 480. Hence the
+    computed max gap is <= the bound's gap and the computed lambda_max >= its
+    lambda_max, and as rounding is monotone the computed r_p >= the bound: a
+    skipped p could not have become the best. For the component certificate,
+    the computed lambda_1..lambda_m lie within N * u * ||L_p|| of 0 and the
+    computed lambda_max within it of ||L_p||, so the computed g_p is at most
+    about 2 N u = N * eps (eps = 2^-52), whatever the scale of L_p. When
+    epsilon >= 100 * N * eps, the computed g_p <= epsilon, so the computed r_p
+    = p / max(g_p, epsilon) is exactly p/epsilon, the bound; below that floor
+    (epsilon = 1e-14, say) such p are left to eigvalsh. The default epsilon =
+    1e-10 clears the floor up to N = 4500. A fragmented p never beats the
+    best, as each evaluated q < p has r_q <= q/epsilon < p/epsilon.
 
     Kept entries, p_hat and k_hat equal a full scan's bit for bit.
 
@@ -402,30 +459,40 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     p_max = cfg.p_max if cfg.p_max is not None else max(1, n // 4)
     p_max = min(int(p_max), n)
     m = min(cfg.max_speakers, n - 1) + 1
+    w = min(m + _GUARD_COLUMNS, n)
 
     entries, skipped = [], []
     best = basis = None
-    order = descending_order(a.data)[:, :p_max].copy()  # frees the other columns before any eigh
+    certifying = cfg.epsilon >= _CERTIFICATE_FLOOR * n * np.finfo(float).eps  # the component certificate
+    order = descending_order(a.data, p_max)
     for p, lap in enumerate(_pruned_laplacians(order, p_max), start=1):
-        if best is not None and p >= best.rp:
+        if best is not None and p * (1.0 - _SKIP_MARGIN) >= best.rp:
             break
+        if certifying and best is not None:
+            certifying = _component_count(order[:, :p]) >= m  # components only merge: once off, off for good
+            if certifying:
+                skipped.append((p, p / cfg.epsilon))
+                continue
         if basis is not None:
-            lap_basis = lap @ basis
-            theta = np.linalg.eigvalsh(basis.T @ lap_basis)  # m x m Ritz matrix, not a spectrum of L
-            bound = _r_lower_bound(lap, theta, values, p, cfg)
+            lap_basis, lap_x = lap @ basis, lap @ x
+            lap_x_norm = float(np.linalg.norm(lap_x))
+            x = lap_x / lap_x_norm
+            theta = np.linalg.eigvalsh(basis.T @ lap_basis)  # w x w Ritz matrix, not a spectrum of L
+            bound = _r_lower_bound(lap, theta, values, lap_x_norm, p, cfg)
             if bound < best.rp:
                 basis, theta = _rayleigh_ritz_step(lap, basis, lap_basis)
-                bound = _r_lower_bound(lap, theta, values, p, cfg)
+                bound = _r_lower_bound(lap, theta, values, lap_x_norm, p, cfg)
             if bound >= best.rp:
                 skipped.append((p, bound))
                 continue
-        values = eigvalsh(lap)
+        values = eigvalsh(lap) if lap.any() else np.zeros(n)
         gp, rp, k, gaps = _nme_metrics(values, p, cfg)
         entries.append(NmeScanEntry(p=p, gp=gp, rp=rp, k_at_p=k, eigengap=gaps))
         if best is None or rp < best.rp:
             best = entries[-1]
-        elif basis is None and (m == n or values[m] - values[m - 1] > _SKIP_MARGIN * (values[-1] + 1.0)):
-            basis = np.ascontiguousarray(eigh(lap).vectors[:, :m])
+        elif basis is None and (w == n or values[w] - values[w - 1] > _SKIP_MARGIN * (values[-1] + 1.0)):
+            vectors = eigh(lap).vectors[:, [*range(w), n - 1]]  # a copy: frees the other columns
+            basis, x = vectors[:, :w], vectors[:, w]
 
     k_hat = cfg.fixed_k if cfg.fixed_k is not None else min(best.k_at_p, cfg.max_speakers)
     return NmeScan(entries=tuple(entries), p_hat=best.p, k_hat=k_hat, p_max=p_max, skipped=tuple(skipped))

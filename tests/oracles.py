@@ -2,12 +2,14 @@
 
 Nothing here shares an algorithm with the library: eigenvalues come from
 inertia-count bisection, k-means optima from exhaustive partition
-enumeration, and speaker mappings from exhaustive permutation search.
+enumeration, speaker mappings from exhaustive permutation search, and
+connected components from a breadth-first search over adjacency lists.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +94,35 @@ def brute_force_kmeans_inertia(points: np.ndarray, k: int) -> float:
             explained += np.where(counts > 0, (sums**2).sum(axis=1) / counts, 0.0)
     inertias = sq_norms - explained[valid]
     return float(inertias.min())
+
+
+# ---------------------------------------------------------------------------
+# Connected components by breadth-first search
+# ---------------------------------------------------------------------------
+
+
+def bfs_component_count(neighbours: np.ndarray) -> int:
+    """Components of the undirected graph with an edge i -- neighbours[i][j] for every i, j."""
+    n = len(neighbours)
+    adjacent: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(neighbours):
+        for j in row:
+            adjacent[i].add(int(j))
+            adjacent[int(j)].add(i)
+    seen = [False] * n
+    components = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        components += 1
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            for j in adjacent[queue.popleft()]:
+                if not seen[j]:
+                    seen[j] = True
+                    queue.append(j)
+    return components
 
 
 # ---------------------------------------------------------------------------

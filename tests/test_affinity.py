@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmesc import (
     AffinityKind,
@@ -16,6 +18,7 @@ from nmesc import (
     kernel_affinity,
     symmetrize,
 )
+from nmesc.affinity import descending_order
 from conftest import random_embeddings, raw_matrix
 
 
@@ -236,6 +239,36 @@ def test_binarize_symmetrize_permutation_equivariance() -> None:
         direct = symmetrize(binarize(permuted, p)).data
         mapped = p_mat @ symmetrize(binarize(a, p)).data @ p_mat.T
         assert np.array_equal(direct, mapped)
+
+
+@st.composite
+def _tied_matrices(draw) -> np.ndarray:
+    """Matrices of 1 to 150 rows and 1 to 30 columns with few distinct values, so rows are full of ties.
+
+    Over 64 rows, descending_order works in more than one block of rows.
+    """
+    rows, cols = draw(st.integers(1, 150)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([np.array([0.0, -0.0]), np.array([-1.0, 0.5, 1.0]), rng.standard_normal(4)]))
+    data = rng.choice(levels, size=(rows, cols))
+    if draw(st.booleans()):  # some rows with distinct values as well
+        data[rng.random(rows) < 0.3] = rng.standard_normal(cols)
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_tied_matrices(), pick=st.floats(0.0, 1.0))
+def test_descending_order_is_the_stable_argsort_prefix(data, pick) -> None:
+    full = np.argsort(-data, axis=1, kind="stable")
+    count = 1 + int(pick * (data.shape[1] - 1))
+    for c in {1, count, data.shape[1]}:
+        assert np.array_equal(descending_order(data, c), full[:, :c])
+
+
+def test_descending_order_rejects_a_bad_count() -> None:
+    for count in (0, 4):
+        with pytest.raises(ValueError):
+            descending_order(np.eye(3), count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import itertools
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +46,9 @@ from nmesc import (
 from nmesc.affinity import descending_order
 import nmesc.nme
 from nmesc.nme import (
+    _CERTIFICATE_FLOOR,
     _SKIP_MARGIN,
+    _component_count,
     _njw_embedding,
     _nme_metrics,
     _pruned_laplacians,
@@ -48,6 +56,7 @@ from nmesc.nme import (
     _rayleigh_ritz_step,
 )
 from conftest import random_embeddings
+from oracles import bfs_component_count
 
 
 def _sym(data) -> AffinityMatrix:
@@ -297,7 +306,7 @@ def _affinities_with_duplicates(draw) -> AffinityMatrix:
 @settings(max_examples=100, deadline=None)
 @given(a=_affinities_with_duplicates())
 def test_pruned_laplacians_equal_public_chain_at_every_p(a) -> None:
-    laplacians = _pruned_laplacians(descending_order(a.data), a.n)
+    laplacians = _pruned_laplacians(descending_order(a.data, a.n), a.n)
     for p, lap in enumerate(laplacians, start=1):
         assert np.array_equal(lap, unnormalized_laplacian(symmetrize(binarize(a, p))))
 
@@ -324,10 +333,13 @@ def _full_reference_scan(a: AffinityMatrix, cfg: NmeConfig, p_max: int) -> list:
     rows = []
     for p in range(1, p_max + 1):
         values = eigvalsh(unnormalized_laplacian(symmetrize(binarize(a, p))))
-        assert values[0] >= -cfg.epsilon  # the condition under which g_p <= 1, so r_p >= p
+        if cfg.epsilon >= 1e-10:  # the condition under which g_p <= 1, so r_p >= p
+            assert values[0] >= -cfg.epsilon
         gaps = eigengap_vector(values, cfg.max_speakers)
         gp = float(gaps.max()) / (float(values[-1]) + cfg.epsilon)
-        rows.append((p, gp, p / max(gp, cfg.epsilon), 1 + int(np.argmax(gaps)), gaps))
+        rp = p / max(gp, cfg.epsilon)
+        assert rp >= p * (1 - _SKIP_MARGIN) / max(1.0, cfg.epsilon)  # what the early stop relies on
+        rows.append((p, gp, rp, 1 + int(np.argmax(gaps)), gaps))
     return rows
 
 
@@ -351,8 +363,9 @@ def _assert_scan_matches_full_scan(a: AffinityMatrix, cfg: NmeConfig):
     assert scan.p_hat == best[0]
     assert scan.k_hat == (cfg.fixed_k if cfg.fixed_k is not None else min(best[3], cfg.max_speakers))
     for p, _, rp, _, _ in ref[p_last:]:
-        assert rp >= p / max(1.0, cfg.epsilon)  # r_p >= p for epsilon <= 1
-        assert p >= best[2]
+        if cfg.epsilon >= 1e-10:
+            assert rp >= p / max(1.0, cfg.epsilon)  # r_p >= p for epsilon <= 1
+        assert p * (1 - _SKIP_MARGIN) >= best[2]
     return scan
 
 
@@ -377,7 +390,7 @@ def _clustered_affinities(draw) -> AffinityMatrix:
     a=st.one_of(_affinities_with_duplicates(), _clustered_affinities()),
     max_speakers=st.integers(1, 8),
     p_max=st.one_of(st.none(), st.integers(1, 40)),
-    epsilon=st.sampled_from([1e-10, 1e-3, 2.0]),
+    epsilon=st.sampled_from([1e-14, 1e-10, 1e-3, 2.0]),
 )
 def test_nme_scan_early_stop_equals_full_scan(a, max_speakers, p_max, epsilon) -> None:
     cfg = NmeConfig(epsilon=epsilon, p_max=p_max, max_speakers=max_speakers)
@@ -387,28 +400,31 @@ def test_nme_scan_early_stop_equals_full_scan(a, max_speakers, p_max, epsilon) -
 def test_nme_scan_early_stop_equals_full_scan_on_a_meeting() -> None:
     emb, _ = generate(SynthSpec(n_clusters=4, segments_per_cluster=75, dim=192, noise=0.15, seed=1))
     scan = _assert_scan_matches_full_scan(cosine_affinity(emb), NmeConfig())
-    # Stops once p reaches r(8) ~ 63.1; of p = 1..63, p = 14 and all past 15 are skipped.
+    # Stops once p reaches r(8) ~ 63.1. p = 2 leaves at least m = 9 components,
+    # so r(2) = 2/epsilon without a solve; of p = 3..63, all past 12 are skipped.
     assert (emb.n, scan.p_max) == (300, 75)
-    assert [e.p for e in scan.entries] == list(range(1, 14)) + [15]
-    assert [p for p, _ in scan.skipped] == [14] + list(range(16, 64))
+    assert [e.p for e in scan.entries] == [1] + list(range(3, 13))
+    assert [p for p, _ in scan.skipped] == [2] + list(range(13, 64))
     assert (scan.p_hat, scan.k_hat) == (8, 4)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_r_lower_bound_holds_at_exact_eigenvectors(seed) -> None:
-    # With L_q = L_p and its own eigenvectors as the basis, each Ritz value
-    # equals the eigenvalue up to rounding, so only the margin keeps the
-    # bound at or below the computed r_p.
+    # With L_q = L_p and its own eigenvectors as the basis (m of them and the
+    # guard columns), each Ritz value equals the eigenvalue up to rounding, and
+    # so does ||L_p x|| with x the top eigenvector, so only the margin keeps
+    # the bound at or below the computed r_p.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 60))
     a = cosine_affinity(random_embeddings(rng, n, int(rng.integers(2, 12))))
     cfg = NmeConfig(max_speakers=int(rng.integers(1, 9)))
-    m = min(cfg.max_speakers, n - 1) + 1
-    for p, lap in enumerate(_pruned_laplacians(descending_order(a.data), n // 2), start=1):
+    w = min(cfg.max_speakers + 4, n)
+    for p, lap in enumerate(_pruned_laplacians(descending_order(a.data, n // 2), n // 2), start=1):
         values = eigvalsh(lap)
-        basis = np.ascontiguousarray(eigh(lap).vectors[:, :m])
+        vectors = eigh(lap).vectors
+        basis = np.ascontiguousarray(vectors[:, :w])
         theta = np.linalg.eigvalsh(basis.T @ (lap @ basis))
-        bound = _r_lower_bound(lap, theta, values, p, cfg)
+        bound = _r_lower_bound(lap, theta, values, float(np.linalg.norm(lap @ vectors[:, -1])), p, cfg)
         gp, rp = _nme_metrics(values, p, cfg)[:2]
         assert bound <= rp
         if gp > 1e-3:  # away from the epsilon floor the bound is tight
@@ -416,7 +432,7 @@ def test_r_lower_bound_holds_at_exact_eigenvectors(seed) -> None:
 
 
 def _laplacian_at(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
-    for lap in _pruned_laplacians(descending_order(cosine_affinity(random_embeddings(rng, n, 8)).data), p):
+    for lap in _pruned_laplacians(descending_order(cosine_affinity(random_embeddings(rng, n, 8)).data, p), p):
         pass
     return lap
 
@@ -477,14 +493,117 @@ def test_nme_scan_takes_at_most_one_basis_eigh(monkeypatch) -> None:
         return eigh(lap)
 
     monkeypatch.setattr(nmesc.nme, "eigh", counting_eigh)
-    # The basis is taken at p = 2 (seed 79), 5 (seed 60) or 7 (seed 62), and each
+    # The basis is taken at p = 6 (seed 79), 5 (seed 60) or 7 (seed 62), and each
     # scan finds a new best after it: at 15, 10 or 8, which a reset would pay for.
-    for seed, evaluated, at in ((79, 12, 2), (60, 13, 5), (62, 10, 7)):
+    for seed, evaluated, at in ((79, 11, 6), (60, 10, 5), (62, 7, 7)):
         emb, _ = generate(SynthSpec(n_clusters=2, segments_per_cluster=30, dim=16, noise=0.1, seed=seed))
         basis_p.clear()
         scan = nme_scan(cosine_affinity(emb), NmeConfig())
         assert len(scan.entries) == evaluated and scan.skipped
         assert basis_p == [at] and scan.p_hat > at
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.one_of(_affinities_with_duplicates(), _clustered_affinities()), pick=st.floats(0.0, 1.0))
+def test_component_count_matches_breadth_first_search(a, pick) -> None:
+    order = descending_order(a.data, a.n)
+    for p in {1, 2, 3, 1 + int(pick * (a.n - 1)), a.n}:
+        assert _component_count(order[:, :p]) == bfs_component_count(order[:, :p])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 60, 300])
+def test_zero_laplacian_spectrum_is_what_eigvalsh_returns(n) -> None:
+    # The scan gives an all-zero L_p the spectrum np.zeros(n) without a solve.
+    assert eigvalsh(np.zeros((n, n))).tobytes() == np.zeros(n).tobytes()
+
+
+def test_nme_scan_does_not_solve_an_all_zero_laplacian(monkeypatch) -> None:
+    solved = []
+
+    def counting_eigvalsh(lap):
+        solved.append(round(np.trace(lap) / lap.shape[0]) + 1)  # p, as trace L_p = (p - 1) N here
+        return eigvalsh(lap)
+
+    monkeypatch.setattr(nmesc.nme, "eigvalsh", counting_eigvalsh)
+    a = cosine_affinity(random_embeddings(np.random.default_rng(5), 20, 4))
+    assert np.array_equal(descending_order(a.data, 1)[:, 0], np.arange(20))  # L_1 = 0
+    scan = nme_scan(a, NmeConfig())
+    first = scan.entries[0]
+    assert (first.p, first.gp, first.rp, first.k_at_p) == (1, 0.0, 1e10, 1)
+    assert solved == [e.p for e in scan.entries[1:]]
+
+
+def test_nme_scan_skips_fragmented_p_at_their_exact_r() -> None:
+    # A p whose graph has >= m components has a zero window of gaps, so the
+    # public chain's r_p is exactly p/epsilon: the bound the scan records.
+    # With m - 1 components one gap in the window is positive, r_p < p/epsilon.
+    # With max_speakers = k, m - 1 = k is the component count from p = 3 or so on.
+    fragmented = 0
+    for seed, (k, per) in enumerate(((2, 30), (3, 20), (4, 20), (6, 15))):
+        emb, _ = generate(SynthSpec(n_clusters=k, segments_per_cluster=per, dim=64, noise=0.15, seed=seed))
+        a = cosine_affinity(emb)
+        for epsilon, max_speakers in itertools.product((1e-10, 1e-3), (k, 8)):
+            cfg = NmeConfig(epsilon=epsilon, max_speakers=max_speakers)
+            m = min(cfg.max_speakers, a.n - 1) + 1
+            for p, bound in nme_scan(a, cfg).skipped:
+                sym = symmetrize(binarize(a, p))
+                rp = _nme_metrics(eigvalsh(unnormalized_laplacian(sym)), p, cfg)[1]
+                assert bound <= rp
+                if connected_components(sym) >= m:
+                    fragmented += 1
+                    assert bound == p / epsilon == rp
+    assert fragmented >= 16  # p = 2 at least, on every corpus and setting
+
+
+def test_nme_scan_leaves_fragmented_p_to_eigvalsh_below_the_epsilon_floor() -> None:
+    emb, _ = generate(SynthSpec(n_clusters=4, segments_per_cluster=75, dim=192, noise=0.15, seed=1))
+    a = cosine_affinity(emb)
+    assert 1e-14 < _CERTIFICATE_FLOOR * a.n * np.finfo(float).eps < 1e-10
+    assert 2 in dict(nme_scan(a, NmeConfig()).skipped)
+    assert nme_scan(a, NmeConfig(epsilon=1e-14)).entries[1].p == 2
+
+
+def test_top_vector_norm_is_a_lower_bound_on_lambda_max() -> None:
+    # The scan's carried x: the top eigenvector of L_q, then one power step per p.
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        a = cosine_affinity(random_embeddings(rng, int(rng.integers(8, 120)), int(rng.integers(2, 12))))
+        laplacians = [lap.copy() for lap in _pruned_laplacians(descending_order(a.data, a.n // 2), a.n // 2)]
+        start = int(rng.integers(1, len(laplacians)))
+        x = eigh(laplacians[start - 1]).vectors[:, -1]
+        for p, lap in enumerate(laplacians[start - 1 :], start=start):
+            lap_x_norm = float(np.linalg.norm(lap @ x))
+            top = eigvalsh(lap)[-1]
+            assert lap_x_norm <= top + _SKIP_MARGIN * (top + 1.0)
+            if p == start:  # at an eigenvector the bound is tight
+                assert lap_x_norm >= top * (1 - 1e-12)
+            x = lap @ x / lap_x_norm
+
+
+_THREAD_SCAN = """
+import json
+from nmesc import NmeConfig, SynthSpec, cosine_affinity, generate, nme_scan
+out = []
+for seed, (k, per) in enumerate(((4, 75), (6, 64), (8, 60))):
+    emb, _ = generate(SynthSpec(n_clusters=k, segments_per_cluster=per, dim=192, noise=0.15, seed=1000 + seed))
+    scan = nme_scan(cosine_affinity(emb), NmeConfig())
+    out.append([[e.p for e in scan.entries], [p for p, _ in scan.skipped], scan.p_hat, scan.k_hat])
+print(json.dumps(out))
+"""
+
+
+def test_nme_scan_evaluates_the_same_p_at_one_and_two_blas_threads() -> None:
+    # The last bits of each spectrum move with OpenBLAS's thread count; which p
+    # are evaluated and skipped, and p_hat and k_hat, must not. The count is
+    # fixed when the library loads, hence one fresh interpreter per count.
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _THREAD_SCAN], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1]
+    assert all(skipped for _, skipped, _, _ in runs[0])
 
 
 def test_nme_scan_agrees_with_probe_within_tolerance() -> None:
@@ -559,12 +678,13 @@ def test_nme_scan_max_speakers_caps_estimate() -> None:
 
 
 def _scan_with_skips() -> NmeScan:
-    emb, _ = generate(SynthSpec(n_clusters=2, segments_per_cluster=30, dim=16, noise=0.1, seed=61))
+    emb, _ = generate(SynthSpec(n_clusters=2, segments_per_cluster=30, dim=16, noise=0.1, seed=83))
     scan = nme_scan(cosine_affinity(emb), NmeConfig())
-    # r(7) ~ 46.61 is the best; p = 9, 10, 12, 13 and 14 are certified not to beat it.
-    assert [e.p for e in scan.entries] == [1, 2, 3, 4, 5, 6, 7, 8, 11, 15]
-    assert [p for p, _ in scan.skipped] == [9, 10, 12, 13, 14]
-    assert (scan.p_hat, scan.k_hat, scan.p_max) == (7, 2, 15)
+    # p = 2 leaves at least m = 9 components, so its bound is r(2) = 2/epsilon.
+    # r(6) ~ 46.63 is the best; p = 8, 12 and 14 are certified not to beat it.
+    assert [e.p for e in scan.entries] == [1, 3, 4, 5, 6, 7, 9, 10, 11, 13, 15]
+    assert [p for p, _ in scan.skipped] == [2, 8, 12, 14]
+    assert (scan.p_hat, scan.k_hat, scan.p_max) == (6, 2, 15)
     return scan
 
 
@@ -595,22 +715,22 @@ def test_nme_scan_record_invariants_enforced(two_ideal_pairs) -> None:
     # skipped bound must be >= the best r_p of the entries before it.
     scan = _scan_with_skips()
     entries, skipped = scan.entries, scan.skipped
-    r_best = scan.entry_at(7).rp
+    r_best = scan.entry_at(6).rp
 
-    def build(entries=entries, skipped=skipped, p_hat=7):
+    def build(entries=entries, skipped=skipped, p_hat=6):
         return NmeScan(entries=entries, p_hat=p_hat, k_hat=2, p_max=15, skipped=skipped)
 
     build()
     # A bound equal to the best r may skip: ties go to the lower p.
-    build(skipped=skipped[:3] + ((13, r_best),) + skipped[4:])
+    build(skipped=skipped[:2] + ((12, r_best),) + skipped[3:])
     bad = (
         dict(skipped=skipped + ((11, 60.0),)),  # overlaps an entry
-        dict(skipped=skipped + ((9, 60.0),)),  # skipped twice
-        dict(skipped=skipped[:1] + skipped[2:]),  # p = 10 uncovered
+        dict(skipped=skipped + ((8, 60.0),)),  # skipped twice
+        dict(skipped=skipped[:1] + skipped[2:]),  # p = 8 uncovered
         dict(skipped=skipped + ((16, 60.0),)),  # beyond p_max
-        dict(skipped=skipped[:1] + ((10, r_best - 1e-9),) + skipped[2:]),  # bound below the best r
-        dict(skipped=((9, float("nan")),) + skipped[1:]),
-        dict(p_hat=9),  # p_hat must be evaluated
+        dict(skipped=skipped[:1] + ((8, r_best - 1e-9),) + skipped[2:]),  # bound below the best r
+        dict(skipped=skipped[:1] + ((8, float("nan")),) + skipped[2:]),
+        dict(p_hat=8),  # p_hat must be evaluated
         dict(entries=entries[:8] + entries[9:10] + entries[8:9] + entries[10:]),  # not ascending
         dict(entries=(), skipped=tuple((p, 60.0) for p in range(1, 16))),
     )
