@@ -8,141 +8,16 @@ and scores speaker-attributed timelines against references (DER).
 
 __version__ = "0.1.0"
 
-from .affinity import (
-    AffinityKind,
-    AffinityMatrix,
-    EmbeddingSequence,
-    InvalidPError,
-    InvalidSigmaError,
-    WrongStateError,
-    ZeroNormError,
-    binarize,
-    cosine_affinity,
-    cosine_similarity,
-    kernel_affinity,
-    symmetrize,
-)
-from .diarization import (
-    DerReport,
-    DiarizationResult,
-    DimensionMismatchError,
-    EmptyInputError,
-    EmptyReferenceError,
-    ParseError,
-    RttmRecord,
-    evaluate_corpus,
-    load_embeddings,
-    load_rttm,
-    records_from_result,
-    score_der,
-    score_recordings,
-    write_embeddings,
-    write_rttm,
-)
-from .nme import (
-    InputTooSmallError,
-    IsolatedNodeError,
-    NjwConfig,
-    NmeConfig,
-    NmeProbe,
-    NmeScan,
-    NmeScanEntry,
-    NotEvaluatedError,
-    TooFewEigenvaluesError,
-    eigengap_vector,
-    nme_at,
-    nme_sc,
-    nme_scan,
-    njw_sc,
-    normalized_laplacian,
-    spectral_embedding,
-    unnormalized_laplacian,
-)
-from .numerics import (
-    EigenSystem,
-    InvalidKError,
-    KMeansConfig,
-    KMeansResult,
-    NoConvergenceError,
-    NonFiniteError,
-    eigh,
-    eigvalsh,
-    kmeans,
-)
-from .testbench import (
-    InfeasibleSpecError,
-    LengthMismatchError,
-    SynthSpec,
-    best_map_accuracy,
-    connected_components,
-    generate,
-)
+from . import affinity, diarization, nme, numerics, testbench
+from .affinity import *
+from .diarization import *
+from .nme import *
+from .numerics import *
+from .testbench import *
 
-__all__ = [
-    "__version__",
-    # affinity
-    "AffinityKind",
-    "AffinityMatrix",
-    "EmbeddingSequence",
-    "cosine_similarity",
-    "cosine_affinity",
-    "kernel_affinity",
-    "binarize",
-    "symmetrize",
-    # numerics
-    "EigenSystem",
-    "KMeansConfig",
-    "KMeansResult",
-    "eigh",
-    "eigvalsh",
-    "kmeans",
-    # nme
-    "NmeConfig",
-    "NjwConfig",
-    "NmeProbe",
-    "NmeScan",
-    "NmeScanEntry",
-    "unnormalized_laplacian",
-    "normalized_laplacian",
-    "eigengap_vector",
-    "nme_at",
-    "nme_scan",
-    "spectral_embedding",
-    "nme_sc",
-    "njw_sc",
-    # diarization
-    "DiarizationResult",
-    "RttmRecord",
-    "DerReport",
-    "load_embeddings",
-    "write_embeddings",
-    "records_from_result",
-    "write_rttm",
-    "load_rttm",
-    "score_der",
-    "score_recordings",
-    "evaluate_corpus",
-    # testbench
-    "SynthSpec",
-    "generate",
-    "best_map_accuracy",
-    "connected_components",
-    # errors
-    "ZeroNormError",
-    "InvalidSigmaError",
-    "InvalidPError",
-    "WrongStateError",
-    "NonFiniteError",
-    "NoConvergenceError",
-    "InvalidKError",
-    "IsolatedNodeError",
-    "NotEvaluatedError",
-    "TooFewEigenvaluesError",
-    "InputTooSmallError",
-    "ParseError",
-    "DimensionMismatchError",
-    "EmptyInputError",
-    "EmptyReferenceError",
-    "InfeasibleSpecError",
-    "LengthMismatchError",
-]
+__all__ = ["__version__"]
+__all__ += affinity.__all__
+__all__ += diarization.__all__
+__all__ += nme.__all__
+__all__ += numerics.__all__
+__all__ += testbench.__all__

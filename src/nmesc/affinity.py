@@ -222,7 +222,7 @@ def binarize(a: AffinityMatrix, p: int) -> AffinityMatrix:
     if not 1 <= p <= a.n:
         raise InvalidPError(f"p={p} outside [1, {a.n}]")
     data = np.zeros((a.n, a.n))
-    np.put_along_axis(data, descending_order(a.data, p), 1.0, axis=1)
+    np.put_along_axis(data, np.argsort(-a.data, axis=1, kind="stable")[:, :p], 1.0, axis=1)
     return AffinityMatrix(data=data, kind=AffinityKind.BINARIZED, p=p)
 
 

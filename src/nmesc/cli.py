@@ -108,40 +108,30 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         parser.error("--scan-out is only produced by --method nme-sc")
     if args.fixed_k is not None and not 1 <= args.fixed_k <= args.max_speakers:
         parser.error(f"--fixed-k must be in [1, {args.max_speakers}]")
+    try:
+        if args.method == "nme-sc":
+            cfg = NmeConfig(
+                p_max=args.p_max, max_speakers=args.max_speakers, fixed_k=args.fixed_k, seed=args.seed
+            )
+        else:
+            cfg = NjwConfig(sigma=args.sigma, k=args.fixed_k, max_speakers=args.max_speakers, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     emb = load_embeddings(args.embeddings)
-    scan = None
     if args.method == "nme-sc":
-        cfg = NmeConfig(
-            p_max=args.p_max,
-            max_speakers=args.max_speakers,
-            fixed_k=args.fixed_k,
-            seed=args.seed,
-        )
         result, scan = nme_sc(emb, cfg)
-        config = {
-            "method": "nme-sc",
-            "epsilon": cfg.epsilon,
-            "p_max": scan.p_max,
-            "max_speakers": cfg.max_speakers,
-            "fixed_k": cfg.fixed_k,
-            "seed": cfg.seed,
-            "sigma": None,
-        }
     else:
-        cfg = NjwConfig(
-            sigma=args.sigma, k=args.fixed_k, max_speakers=args.max_speakers, seed=args.seed
-        )
-        result = njw_sc(emb, cfg)
-        config = {
-            "method": "njw-sc",
-            "epsilon": None,
-            "p_max": None,
-            "max_speakers": cfg.max_speakers,
-            "fixed_k": cfg.k,
-            "seed": cfg.seed,
-            "sigma": cfg.sigma,
-        }
+        result, scan = njw_sc(emb, cfg), None
+    config = {
+        "method": args.method,
+        "epsilon": None if scan is None else cfg.epsilon,
+        "p_max": None if scan is None else scan.p_max,
+        "max_speakers": cfg.max_speakers,
+        "fixed_k": args.fixed_k,
+        "seed": cfg.seed,
+        "sigma": cfg.sigma if scan is None else None,
+    }
 
     write_rttm(result, args.out)
     if args.scan_out is not None:
@@ -154,7 +144,9 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
+def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if not 0 <= args.collar < float("inf"):
+        parser.error("--collar must be a finite number >= 0")
     ref = load_rttm(args.ref)
     hyp = load_rttm(args.hyp)
     aggregate, per_recording = score_recordings(ref, hyp, collar=args.collar, score_overlap=args.overlap)
@@ -178,14 +170,17 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = SynthSpec(
-        n_clusters=args.clusters,
-        segments_per_cluster=args.per_cluster,
-        dim=args.dim,
-        noise=args.noise,
-        seed=args.seed,
-    )
+def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    try:
+        spec = SynthSpec(
+            n_clusters=args.clusters,
+            segments_per_cluster=args.per_cluster,
+            dim=args.dim,
+            noise=args.noise,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     emb, truth = generate(spec)
     write_embeddings(emb, args.out, header=False)
     truth_result = DiarizationResult(
@@ -215,8 +210,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "cluster":
             return _cmd_cluster(args, parser)
         if args.subcommand == "score":
-            return _cmd_score(args)
-        return _cmd_synth(args)
+            return _cmd_score(args, parser)
+        return _cmd_synth(args, parser)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

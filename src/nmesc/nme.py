@@ -88,6 +88,8 @@ class NmeConfig:
             raise ValueError("p_max must be >= 1 when set")
         if self.fixed_k is not None and not 1 <= self.fixed_k <= self.max_speakers:
             raise ValueError(f"fixed_k must be in [1, {self.max_speakers}]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,8 @@ class NjwConfig:
             raise ValueError("k override must be >= 1")
         if self.max_speakers < 1:
             raise ValueError("max_speakers must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -174,18 +178,10 @@ class NmeScan:
 
 
 @dataclass(frozen=True)
-class NmeProbe:
-    """One-p evaluation carrying the full eigensystem of the pruned Laplacian."""
+class NmeProbe(NmeScanEntry):
+    """A scan entry for one p plus the full eigensystem of its pruned Laplacian."""
 
-    p: int
-    gp: float
-    rp: float
-    k_at_p: int
-    eigengap: np.ndarray
     eigensystem: EigenSystem
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigengap", _readonly(self.eigengap))
 
 
 def unnormalized_laplacian(a: AffinityMatrix) -> np.ndarray:
@@ -550,10 +546,8 @@ def njw_sc(emb: EmbeddingSequence, cfg: NjwConfig) -> DiarizationResult:
             raise InvalidKError(f"k={cfg.k} outside [1, {emb.n}]")
         k = cfg.k
     else:
-        desc = es.values[::-1]
-        window = min(cfg.max_speakers, emb.n - 1)
-        gaps = desc[:window] - desc[1 : window + 1]
-        k = 1 + int(np.argmax(gaps))
+        # Gaps of the negated descending values are the descending gaps exactly: (-b) - (-a) = a - b.
+        k = 1 + int(np.argmax(eigengap_vector(-es.values[::-1], cfg.max_speakers)))
     points = _njw_embedding(es, k)
     km = kmeans(points, k, KMeansConfig(seed=cfg.seed))
     return DiarizationResult(

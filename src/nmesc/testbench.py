@@ -65,6 +65,8 @@ class SynthSpec:
                 raise ValueError("segments_per_cluster range must satisfy 1 <= lo <= hi")
         elif self.segments_per_cluster < 1:
             raise ValueError("segments_per_cluster must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _draw_centroids(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:

@@ -163,6 +163,17 @@ def test_binarize_p1_duplicate_ties_go_to_lowest_column() -> None:
     assert np.array_equal(binarize(a, 1).data, np.array(want))
 
 
+def test_binarize_many_ties_go_to_lowest_columns() -> None:
+    # Rows long enough that an unstable sort would reorder ties; the oracle is Python's stable sort.
+    rng = np.random.default_rng(15)
+    data = rng.integers(0, 3, size=(80, 80)) / 2.0
+    for p in (1, 7, 40, 79):
+        want = np.zeros_like(data)
+        for i, row in enumerate(data):
+            want[i, sorted(range(80), key=lambda j: -row[j])[:p]] = 1.0
+        assert np.array_equal(binarize(raw_matrix(data), p).data, want)
+
+
 def test_binarize_row_sums_and_monotone_nesting() -> None:
     rng = np.random.default_rng(8)
     a = cosine_affinity(random_embeddings(rng, 11, 4))

@@ -130,6 +130,25 @@ def test_cluster_usage_errors_exit_two(tmp_path) -> None:
               "--method", "njw-sc", "--sigma", "1.0", "--scan-out", str(tmp_path / "s.csv")])
     assert err.value.code == 2
 
+    # Bad values exit 2 before any input is read: these inputs do not exist, so reading exits 1.
+    missing = str(tmp_path / "missing.jsonl")
+    out = ["--out", str(tmp_path / "bad.rttm")]
+    synth_out = ["--out", str(tmp_path / "bad.jsonl"), "--truth-out", str(tmp_path / "bad.rttm")]
+    for argv in [
+        ["cluster", "--embeddings", missing, *out, "--max-speakers", "0"],
+        ["cluster", "--embeddings", missing, *out, "--p-max", "0"],
+        ["cluster", "--embeddings", missing, *out, "--seed", "-1"],
+        ["cluster", "--embeddings", missing, *out, "--method", "njw-sc", "--sigma", "-1"],
+        ["cluster", "--embeddings", missing, *out, "--method", "njw-sc", "--sigma", "0.5", "--seed", "-1"],
+        ["score", "--ref", missing, "--hyp", missing, "--collar", "-1"],
+        ["synth", "--clusters", "0", "--per-cluster", "2", "--dim", "4", *synth_out],
+        ["synth", "--clusters", "2", "--per-cluster", "2", "--dim", "4", "--seed", "-1", *synth_out],
+    ]:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+    assert not any(p.name.startswith("bad") for p in tmp_path.iterdir())
+
 
 def test_cluster_njw_with_sigma(tmp_path) -> None:
     emb, _ = _synth(tmp_path, clusters=2, per_cluster=10, dim=8, noise=0.05)

@@ -758,6 +758,8 @@ def test_nme_config_validation() -> None:
         NmeConfig(fixed_k=9)
     with pytest.raises(ValueError):
         NmeConfig(p_max=0)
+    with pytest.raises(ValueError, match="seed"):
+        NmeConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -854,6 +856,19 @@ def test_njw_sc_k_override(two_ideal_pairs) -> None:
     assert result.num_speakers == 3
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_njw_sc_k_is_the_largest_descending_gap_under_the_cap(seed) -> None:
+    # Six true speakers against max_speakers = 3: the window cuts the spectrum short.
+    cap, sigma = 3, 0.5
+    emb, _ = generate(SynthSpec(n_clusters=6, segments_per_cluster=(6, 12), dim=32, noise=0.1, seed=200 + seed))
+    desc = np.linalg.eigvalsh(normalized_laplacian(kernel_affinity(emb, sigma)))[::-1]
+    gaps = desc[:-1] - desc[1:]
+    window = gaps[: min(cap, emb.n - 1)]
+    assert np.argmax(gaps) + 1 > cap  # uncapped, the rule would pick more than the cap
+    assert np.diff(np.sort(window))[-1] > 1e-6  # a clear winner, whatever the solver's last bits
+    assert njw_sc(emb, NjwConfig(sigma=sigma, max_speakers=cap)).num_speakers == 1 + int(np.argmax(window))
+
+
 def test_njw_embedding_rows_unit_norm(two_ideal_pairs) -> None:
     es = eigh(normalized_laplacian(kernel_affinity(two_ideal_pairs, 1.0)))
     rows = _njw_embedding(es, 2)
@@ -865,6 +880,8 @@ def test_njw_config_validation() -> None:
         NjwConfig(sigma=0.0)
     with pytest.raises(ValueError):
         NjwConfig(sigma=1.0, k=0)
+    with pytest.raises(ValueError, match="seed"):
+        NjwConfig(sigma=1.0, seed=-1)
 
 
 def test_njw_sc_tiny_sigma_starves_the_graph() -> None:

@@ -67,6 +67,8 @@ def test_synth_spec_validation() -> None:
         SynthSpec(n_clusters=2, segments_per_cluster=3, dim=4, noise=-0.1)
     with pytest.raises(ValueError):
         SynthSpec(n_clusters=2, segments_per_cluster=(4, 2), dim=4)
+    with pytest.raises(ValueError, match="seed"):
+        SynthSpec(n_clusters=2, segments_per_cluster=3, dim=4, seed=-1)
 
 
 def test_best_map_accuracy_identity_and_relabeling() -> None:
