@@ -20,7 +20,6 @@ __all__ = [
     "InvalidSigmaError",
     "InvalidPError",
     "WrongStateError",
-    "cosine_similarity",
     "cosine_affinity",
     "kernel_affinity",
     "binarize",
@@ -125,20 +124,6 @@ class AffinityMatrix:
     @property
     def n(self) -> int:
         return self.data.shape[0]
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1].
-
-    Raises:
-        ZeroNormError: either vector has norm <= 1e-12.
-    """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na <= 1e-12 or nb <= 1e-12:
-        raise ZeroNormError("cosine similarity undefined for zero-norm vectors")
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
 
 
 def cosine_affinity(emb: EmbeddingSequence) -> AffinityMatrix:

@@ -38,7 +38,6 @@ __all__ = [
     "load_rttm",
     "score_der",
     "score_recordings",
-    "evaluate_corpus",
 ]
 
 
@@ -443,7 +442,7 @@ def score_der(
 
     Raises:
         EmptyReferenceError: ref is empty, or hyp names a recording ref lacks.
-        ValueError: collar is negative, or ref spans several recording ids.
+        ValueError: collar is negative or not finite, or ref spans several recording ids.
     """
     _, per_recording = score_recordings(ref, hyp, collar, score_overlap)
     if len(per_recording) > 1:
@@ -484,8 +483,8 @@ def _grouped_times(
     """Per-recording component times, keyed and iterated in recording-id order."""
     if not ref:
         raise EmptyReferenceError("reference contains no records")
-    if collar < 0:
-        raise ValueError("collar must be >= 0")
+    if not 0 <= collar < math.inf:
+        raise ValueError("collar must be a finite number >= 0")
     ref_groups = _group_by_recording(ref)
     hyp_groups = _group_by_recording(hyp)
     orphans = sorted(set(hyp_groups) - set(ref_groups))
@@ -509,6 +508,7 @@ def score_recordings(
     Raises:
         EmptyReferenceError: ref empty, or a hypothesis recording id has no
             reference counterpart.
+        ValueError: collar is negative or not finite.
     """
     totals = [Fraction(0)] * 4
     per_recording: dict[str, DerReport] = {}
@@ -518,27 +518,3 @@ def score_recordings(
             totals[i] += v
     aggregate = _report(totals[0], totals[1], totals[2], totals[3], {}, collar)
     return aggregate, per_recording
-
-
-def evaluate_corpus(
-    pairs: Sequence[tuple[str | Path, str | Path]],
-    collar: float = 0.25,
-    score_overlap: bool = False,
-) -> DerReport:
-    """Corpus-level DER: component times summed over recordings, then divided.
-
-    Each pair is (reference RTTM path, hypothesis RTTM path); recordings are
-    matched by recording id within each pair. Errors are re-raised naming
-    the offending pair.
-    """
-    totals = [Fraction(0)] * 4
-    for ref_path, hyp_path in pairs:
-        try:
-            ref = load_rttm(ref_path)
-            hyp = load_rttm(hyp_path)
-            for _, (scored, missed, fa, se, _mapping) in _grouped_times(ref, hyp, collar, score_overlap):
-                for i, v in enumerate((scored, missed, fa, se)):
-                    totals[i] += v
-        except (OSError, ValueError) as exc:
-            raise type(exc)(f"{ref_path} vs {hyp_path}: {exc}") from exc
-    return _report(totals[0], totals[1], totals[2], totals[3], {}, collar)

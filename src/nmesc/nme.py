@@ -24,7 +24,7 @@ from .affinity import (
     kernel_affinity,
 )
 from .diarization import DiarizationResult
-from .numerics import EigenSystem, InvalidKError, KMeansConfig, _readonly, eigh, eigvalsh, kmeans
+from .numerics import EigenSystem, InvalidKError, KMeansConfig, eigh, eigvalsh, kmeans
 
 __all__ = [
     "NmeConfig",
@@ -114,16 +114,12 @@ class NjwConfig:
 
 @dataclass(frozen=True)
 class NmeScanEntry:
-    """Scan record for one p: eigengap vector and the derived g_p, r_p, k."""
+    """Scan record for one p: g_p, r_p and the gap-argmax cluster count k."""
 
     p: int
     gp: float
     rp: float
     k_at_p: int
-    eigengap: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigengap", _readonly(self.eigengap))
 
 
 @dataclass(frozen=True)
@@ -234,12 +230,12 @@ def eigengap_vector(values: np.ndarray, limit: int) -> np.ndarray:
 
 
 def _nme_metrics(values: np.ndarray, p: int, cfg: NmeConfig):
-    """g_p, r_p, k and the gap vector from one Laplacian spectrum."""
+    """g_p, r_p and k from one Laplacian spectrum."""
     gaps = eigengap_vector(values, cfg.max_speakers)
     gp = float(gaps.max()) / (float(values[-1]) + cfg.epsilon)
     rp = p / max(gp, cfg.epsilon)
     k = 1 + int(np.argmax(gaps))  # ties: lowest gap index, i.e. fewest clusters
-    return gp, rp, k, gaps
+    return gp, rp, k
 
 
 # Rounding margin of the skip bound (relative to lambda_max + 1) and of the early stop; see nme_scan.
@@ -358,8 +354,8 @@ def nme_at(a: AffinityMatrix, p: int, cfg: NmeConfig = NmeConfig()) -> NmeProbe:
     for lap in _pruned_laplacians(descending_order(a.data, p), p):
         pass  # the buffer now holds the Laplacian at p
     es = eigh(lap)
-    gp, rp, k, gaps = _nme_metrics(es.values, p, cfg)
-    return NmeProbe(p=p, gp=gp, rp=rp, k_at_p=k, eigengap=gaps, eigensystem=es)
+    gp, rp, k = _nme_metrics(es.values, p, cfg)
+    return NmeProbe(p=p, gp=gp, rp=rp, k_at_p=k, eigensystem=es)
 
 
 def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
@@ -482,8 +478,8 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
                 skipped.append((p, bound))
                 continue
         values = eigvalsh(lap) if lap.any() else np.zeros(n)
-        gp, rp, k, gaps = _nme_metrics(values, p, cfg)
-        entries.append(NmeScanEntry(p=p, gp=gp, rp=rp, k_at_p=k, eigengap=gaps))
+        gp, rp, k = _nme_metrics(values, p, cfg)
+        entries.append(NmeScanEntry(p=p, gp=gp, rp=rp, k_at_p=k))
         if best is None or rp < best.rp:
             best = entries[-1]
         elif basis is None and (w == n or values[w] - values[w - 1] > _SKIP_MARGIN * (values[-1] + 1.0)):

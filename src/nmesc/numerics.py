@@ -31,11 +31,6 @@ class NonFiniteError(ValueError):
 class NoConvergenceError(RuntimeError):
     """The eigensolver hit its iteration cap without converging."""
 
-    def __init__(self, message: str, cap: int | None = None, residual: float | None = None):
-        super().__init__(message)
-        self.cap = cap
-        self.residual = residual
-
 
 class InvalidKError(ValueError):
     """Requested cluster count is outside [1, n]."""
@@ -52,8 +47,8 @@ class EigenSystem:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
     Column ``vectors[:, i]`` is the unit-norm eigenvector paired with
-    ``values[i]``. Arrays are read-only so instances can be shared freely
-    across threads.
+    ``values[i]``. Arrays are read-only copies, so no caller can change a
+    decomposition another caller holds.
     """
 
     values: np.ndarray

@@ -1,17 +1,19 @@
-"""Synthetic ground-truth corpora and brute-force oracles.
+"""Synthetic ground-truth corpora and their label-map accuracy.
 
-Everything here exists to check the clustering pipeline against quantities
-computed by construction or by exhaustive search, with no shared code path.
+`generate` draws embedding corpora whose speaker labels are known by
+construction; `best_map_accuracy` scores a clustering against them. The
+tests' independent oracles live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import AffinityMatrix, EmbeddingSequence
+from .affinity import EmbeddingSequence
+from .diarization import _optimal_mapping
 
 __all__ = [
     "SynthSpec",
@@ -19,7 +21,6 @@ __all__ = [
     "LengthMismatchError",
     "generate",
     "best_map_accuracy",
-    "connected_components",
 ]
 
 _MIN_CENTROID_ANGLE_COS = 0.5  # pairwise centroid angle >= 60 degrees
@@ -137,21 +138,11 @@ def generate(spec: SynthSpec) -> tuple[EmbeddingSequence, np.ndarray]:
     return emb, labels
 
 
-_PERM_CACHE: dict[int, np.ndarray] = {}
-
-
-def _permutations(m: int) -> np.ndarray:
-    if m not in _PERM_CACHE:
-        _PERM_CACHE[m] = np.array(list(itertools.permutations(range(m))), dtype=int)
-    return _PERM_CACHE[m]
-
-
 def best_map_accuracy(pred, truth) -> float:
-    """Highest matching fraction over all label bijections (exhaustive, <= 8 labels).
+    """Highest matching fraction over all one-to-one label maps (any number of labels).
 
     Raises:
         LengthMismatchError: sequences differ in length.
-        ValueError: more than 8 distinct labels on either side.
     """
     pred = np.asarray(pred)
     truth = np.asarray(truth)
@@ -159,33 +150,6 @@ def best_map_accuracy(pred, truth) -> float:
         raise LengthMismatchError(f"label shapes differ: {pred.shape} vs {truth.shape}")
     if pred.size == 0:
         raise LengthMismatchError("empty label sequences")
-    _, pred_ids = np.unique(pred, return_inverse=True)
-    _, truth_ids = np.unique(truth, return_inverse=True)
-    m = max(pred_ids.max(), truth_ids.max()) + 1
-    if m > 8:
-        raise ValueError(f"exhaustive mapping supports at most 8 labels, got {m}")
-    contingency = np.zeros((m, m), dtype=np.int64)
-    np.add.at(contingency, (truth_ids, pred_ids), 1)
-    perms = _permutations(m)
-    matches = contingency[perms, np.arange(m)].sum(axis=1)
-    return float(matches.max()) / pred.size
-
-
-def connected_components(a: AffinityMatrix | np.ndarray) -> int:
-    """Number of connected components, treating any entry > 0 as an edge."""
-    data = a.data if isinstance(a, AffinityMatrix) else np.asarray(a)
-    n = data.shape[0]
-    adjacency = data > 0
-    seen = np.zeros(n, dtype=bool)
-    components = 0
-    for seed in range(n):
-        if seen[seed]:
-            continue
-        components += 1
-        frontier = np.zeros(n, dtype=bool)
-        frontier[seed] = True
-        while frontier.any():
-            seen |= frontier
-            reached = adjacency[frontier].any(axis=0)
-            frontier = reached & ~seen
-    return components
+    counts = Counter(zip(truth.tolist(), pred.tolist()))
+    matched = sum(counts[(t, p)] for p, t in _optimal_mapping(counts).items())
+    return matched / pred.size

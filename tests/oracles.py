@@ -2,14 +2,15 @@
 
 Nothing here shares an algorithm with the library: eigenvalues come from
 inertia-count bisection, k-means optima from exhaustive partition
-enumeration, speaker mappings from exhaustive permutation search, and
-connected components from a breadth-first search over adjacency lists.
+enumeration, label-map accuracy and DER speaker mappings from exhaustive
+permutation search, and the connected components of a neighbour list or of
+a matrix's positive entries from a breadth-first search over adjacency lists.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,30 @@ def bfs_component_count(neighbours: np.ndarray) -> int:
                     seen[j] = True
                     queue.append(j)
     return components
+
+
+def matrix_component_count(data: np.ndarray) -> int:
+    """Components of the graph with an edge i -- j wherever data[i, j] > 0."""
+    return bfs_component_count([np.flatnonzero(row > 0) for row in np.asarray(data)])
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive label-map accuracy
+# ---------------------------------------------------------------------------
+
+
+def exhaustive_map_accuracy(pred, truth) -> float:
+    """Highest matching fraction over every one-to-one map of pred labels onto truth labels."""
+    pred, truth = list(pred), list(truth)
+    counts = Counter(zip(pred, truth))
+    pred_names = sorted(set(pred))
+    truth_names = sorted(set(truth))
+    padded = truth_names + [None] * max(0, len(pred_names) - len(truth_names))
+    best = max(
+        sum(counts[(p, t)] for p, t in zip(pred_names, perm))
+        for perm in itertools.permutations(padded, len(pred_names))
+    )
+    return best / len(pred)
 
 
 # ---------------------------------------------------------------------------

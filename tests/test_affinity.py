@@ -14,7 +14,6 @@ from nmesc import (
     ZeroNormError,
     binarize,
     cosine_affinity,
-    cosine_similarity,
     kernel_affinity,
     symmetrize,
 )
@@ -23,19 +22,8 @@ from conftest import random_embeddings, raw_matrix
 
 
 # ---------------------------------------------------------------------------
-# cosine similarity / affinity
+# cosine affinity
 # ---------------------------------------------------------------------------
-
-
-def test_cosine_similarity_analytic_cases() -> None:
-    assert cosine_similarity([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0, abs=0)
-    assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0, abs=0)
-    assert cosine_similarity([1.0, 0.0], [1.0, 1.0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
-
-def test_cosine_similarity_zero_norm() -> None:
-    with pytest.raises(ZeroNormError):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
 
 
 def test_cosine_affinity_orthogonal_pair() -> None:
@@ -62,7 +50,8 @@ def test_cosine_affinity_matches_double_loop_oracle() -> None:
     a = cosine_affinity(emb)
     for i in range(5):
         for j in range(5):
-            want = 1.0 if i == j else cosine_similarity(emb.vectors[i], emb.vectors[j])
+            u, v = emb.vectors[i], emb.vectors[j]
+            want = 1.0 if i == j else float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
             assert a.data[i, j] == pytest.approx(want, abs=1e-12)
 
 

@@ -14,7 +14,6 @@ from nmesc import (
     EmptyReferenceError,
     ParseError,
     RttmRecord,
-    evaluate_corpus,
     load_embeddings,
     load_rttm,
     records_from_result,
@@ -423,6 +422,13 @@ def test_score_der_empty_reference() -> None:
         score_der([_rec("A", 0.0, 1.0)], [], collar=-0.1)
 
 
+@pytest.mark.parametrize("score", [score_der, score_recordings])
+@pytest.mark.parametrize("collar", [float("inf"), float("nan"), -1.0])
+def test_scorers_reject_a_non_finite_or_negative_collar(score, collar: float) -> None:
+    with pytest.raises(ValueError, match="collar must be a finite number >= 0"):
+        score([_rec("A", 0.0, 1.0)], [_rec("X", 0.0, 1.0)], collar=collar)
+
+
 def test_score_der_component_identity_random() -> None:
     rng = np.random.default_rng(1)
     for _ in range(25):
@@ -555,63 +561,8 @@ def test_score_der_long_relabelled_timeline_equals_oracle(overlap: bool) -> None
 
 
 # ---------------------------------------------------------------------------
-# Corpus evaluation
+# Per-recording scoring
 # ---------------------------------------------------------------------------
-
-
-def _write(path, records) -> None:
-    with open(path, "w") as fh:
-        write_rttm(records, fh)
-
-
-def test_evaluate_corpus_single_recording_equals_score_der(tmp_path) -> None:
-    ref = [_rec("A", 0.0, 10.0)]
-    hyp = [_rec("X", 0.0, 5.0), _rec("Y", 5.0, 5.0)]
-    _write(tmp_path / "ref.rttm", ref)
-    _write(tmp_path / "hyp.rttm", hyp)
-    corpus = evaluate_corpus([(tmp_path / "ref.rttm", tmp_path / "hyp.rttm")], collar=0.0)
-    single = score_der(ref, hyp, collar=0.0)
-    assert corpus.der == single.der
-    assert corpus.scored_time == single.scored_time
-
-
-def test_evaluate_corpus_two_identical_recordings_same_rates(tmp_path) -> None:
-    ref = [_rec("A", 0.0, 10.0, "r1"), _rec("A", 0.0, 10.0, "r2")]
-    hyp = [_rec("X", 0.0, 5.0, "r1"), _rec("X", 0.0, 5.0, "r2")]
-    _write(tmp_path / "ref.rttm", ref)
-    _write(tmp_path / "hyp.rttm", hyp)
-    corpus = evaluate_corpus([(tmp_path / "ref.rttm", tmp_path / "hyp.rttm")], collar=0.0)
-    single = score_der(ref[:1], hyp[:1], collar=0.0)
-    assert corpus.der == single.der
-    assert corpus.scored_time == 2 * single.scored_time
-
-
-def test_evaluate_corpus_time_weighted_average(tmp_path) -> None:
-    # Recording r1 scores DER 0, r2 scores 0.2, equal scored time -> 0.1.
-    _write(tmp_path / "ref1.rttm", [_rec("A", 0.0, 10.0, "r1")])
-    _write(tmp_path / "hyp1.rttm", [_rec("X", 0.0, 10.0, "r1")])
-    _write(tmp_path / "ref2.rttm", [_rec("A", 0.0, 10.0, "r2")])
-    _write(
-        tmp_path / "hyp2.rttm",
-        [_rec("X", 0.0, 8.0, "r2"), _rec("Y", 8.0, 2.0, "r2")],
-    )
-    corpus = evaluate_corpus(
-        [
-            (tmp_path / "ref1.rttm", tmp_path / "hyp1.rttm"),
-            (tmp_path / "ref2.rttm", tmp_path / "hyp2.rttm"),
-        ],
-        collar=0.0,
-    )
-    assert corpus.der == pytest.approx(0.1, abs=1e-12)
-
-
-def test_evaluate_corpus_propagates_with_context(tmp_path) -> None:
-    _write(tmp_path / "ref.rttm", [_rec("A", 0.0, 10.0, "r1")])
-    _write(tmp_path / "hyp.rttm", [_rec("X", 0.0, 10.0, "other")])
-    with pytest.raises(EmptyReferenceError, match="other"):
-        evaluate_corpus([(tmp_path / "ref.rttm", tmp_path / "hyp.rttm")])
-    with pytest.raises(OSError, match="missing.rttm"):
-        evaluate_corpus([(tmp_path / "missing.rttm", tmp_path / "hyp.rttm")])
 
 
 def test_score_recordings_reports_per_recording(tmp_path) -> None:

@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmesc import (
     InfeasibleSpecError,
     LengthMismatchError,
     SynthSpec,
     best_map_accuracy,
-    connected_components,
     cosine_affinity,
     generate,
 )
+from oracles import exhaustive_map_accuracy, matrix_component_count
 
 
 def test_generate_deterministic_and_exact_counts() -> None:
@@ -93,16 +95,29 @@ def test_best_map_accuracy_constant_prediction_floor() -> None:
 def test_best_map_accuracy_errors() -> None:
     with pytest.raises(LengthMismatchError):
         best_map_accuracy([0, 1], [0, 1, 2])
-    with pytest.raises(ValueError):
-        best_map_accuracy(list(range(9)), list(range(9)))
+    with pytest.raises(LengthMismatchError):
+        best_map_accuracy([], [])
+    # More labels than an exhaustive search over permutations can afford.
+    for m in (10, 12):
+        truth = np.repeat(np.arange(m), 3)
+        assert best_map_accuracy((truth * 7 + 5) % m, truth) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=40)
+)
+def test_best_map_accuracy_equals_exhaustive_oracle(pairs) -> None:
+    pred, truth = (list(side) for side in zip(*pairs))
+    assert best_map_accuracy(pred, truth) == exhaustive_map_accuracy(pred, truth)
 
 
 def test_connected_components_cases() -> None:
-    assert connected_components(np.eye(5)) == 5
-    assert connected_components(np.ones((4, 4))) == 1
+    assert matrix_component_count(np.eye(5)) == 5
+    assert matrix_component_count(np.ones((4, 4))) == 1
     two_cliques = np.zeros((4, 4))
     two_cliques[:2, :2] = 1.0
     two_cliques[2:, 2:] = 1.0
-    assert connected_components(two_cliques) == 2
+    assert matrix_component_count(two_cliques) == 2
     half = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    assert connected_components(half) == 2
+    assert matrix_component_count(half) == 2
