@@ -12,25 +12,29 @@ best ratio so far. A p whose graph still falls apart into more pieces than
 the gap window reads (m = max_speakers + 1) has g_p = 0 and r_p = p/epsilon
 exactly, so it is skipped with that bound after a component count; at p = 1
 each segment links only to itself, L = 0, and its spectrum needs no solve.
+Beside each skipped p's bound the demo prints its exact r_p, which one
+nme_probes walk over the skipped p computes after the scan.
 """
 
 import numpy as np
 
-from nmesc import NmeConfig, SynthSpec, best_map_accuracy, cosine_affinity, generate, nme_sc, nme_scan
+from nmesc import NmeConfig, SynthSpec, best_map_accuracy, cosine_affinity, generate, nme_probes, nme_sc, nme_scan
 
 spec = SynthSpec(n_clusters=3, segments_per_cluster=40, dim=32, noise=0.12, seed=14)
 emb, truth = generate(spec)
 print(f"synthetic corpus: {emb.n} segments, {spec.n_clusters} true speakers, dim {spec.dim}\n")
 
 cfg = NmeConfig()
-scan = nme_scan(cosine_affinity(emb), cfg)
+a = cosine_affinity(emb)
+scan = nme_scan(a, cfg)
 skipped = dict(scan.skipped)
+exact = {probe.p: probe.rp for probe in nme_probes(a, skipped, cfg)}
 last = max([e.p for e in scan.entries] + list(skipped))
-print(f"{'p':>4} {'g_p':>10} {'r_p':>14} {'k(p)':>5}")
+print(f"{'p':>4} {'g_p':>10} {'r_p':>14} {'k(p)':>5}   exact r_p")
 for p in range(1, last + 1):
     if p in skipped:
         reason = "  (>= m components: r_p = p/epsilon)" if skipped[p] == p / cfg.epsilon else ""
-        print(f"{p:>4} {'skipped':>10} {'>= ' + format(skipped[p], '.4f'):>14}{reason}")
+        print(f"{p:>4} {'skipped':>10} {'>= ' + format(skipped[p], '.4f'):>14} {'':>5}   {exact[p]:.4f}{reason}")
         continue
     entry = scan.entry_at(p)
     marker = "  <- p_hat" if entry.p == scan.p_hat else ""

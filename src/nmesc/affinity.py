@@ -104,15 +104,10 @@ class AffinityKind(enum.Enum):
 
 @dataclass(frozen=True)
 class AffinityMatrix:
-    """n x n similarity matrix tagged with its processing state.
-
-    p is set for BINARIZED/SYMMETRIZED matrices, sigma for KERNELIZED ones.
-    """
+    """n x n similarity matrix tagged with its processing state."""
 
     data: np.ndarray
     kind: AffinityKind
-    p: int | None = None
-    sigma: float | None = None
 
     def __post_init__(self):
         data = np.array(self.data, dtype=float, copy=True)
@@ -150,7 +145,7 @@ def kernel_affinity(emb: EmbeddingSequence, sigma: float) -> AffinityMatrix:
     d2 = np.clip(2.0 * (1.0 - cos), 0.0, None)
     data = np.exp(-d2 / (sigma * sigma))
     np.fill_diagonal(data, 0.0)
-    return AffinityMatrix(data=data, kind=AffinityKind.KERNELIZED, sigma=float(sigma))
+    return AffinityMatrix(data=data, kind=AffinityKind.KERNELIZED)
 
 
 # Rows per block in descending_order. With whole-matrix temporaries instead,
@@ -208,7 +203,7 @@ def binarize(a: AffinityMatrix, p: int) -> AffinityMatrix:
         raise InvalidPError(f"p={p} outside [1, {a.n}]")
     data = np.zeros((a.n, a.n))
     np.put_along_axis(data, np.argsort(-a.data, axis=1, kind="stable")[:, :p], 1.0, axis=1)
-    return AffinityMatrix(data=data, kind=AffinityKind.BINARIZED, p=p)
+    return AffinityMatrix(data=data, kind=AffinityKind.BINARIZED)
 
 
 def symmetrize(a: AffinityMatrix) -> AffinityMatrix:
@@ -220,4 +215,4 @@ def symmetrize(a: AffinityMatrix) -> AffinityMatrix:
     if a.kind is not AffinityKind.BINARIZED:
         raise WrongStateError(f"symmetrize expects a binarized matrix, got {a.kind.value}")
     data = (a.data + a.data.T) / 2.0
-    return AffinityMatrix(data=data, kind=AffinityKind.SYMMETRIZED, p=a.p)
+    return AffinityMatrix(data=data, kind=AffinityKind.SYMMETRIZED)

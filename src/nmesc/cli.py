@@ -194,7 +194,6 @@ def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             "per_cluster": spec.segments_per_cluster,
             "dim": spec.dim,
             "noise": spec.noise,
-            "within_concentration": spec.within_concentration,
             "seed": spec.seed,
         },
     )

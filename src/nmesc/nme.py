@@ -40,6 +40,7 @@ __all__ = [
     "normalized_laplacian",
     "eigengap_vector",
     "nme_at",
+    "nme_probes",
     "nme_scan",
     "spectral_embedding",
     "nme_sc",
@@ -335,27 +336,39 @@ def _pruned_laplacians(order: np.ndarray, p_max: int):
         yield lap
 
 
-def nme_at(a: AffinityMatrix, p: int, cfg: NmeConfig = NmeConfig()) -> NmeProbe:
-    """Evaluate one binarization threshold p on a raw-cosine affinity matrix.
+def nme_probes(a: AffinityMatrix, ps, cfg: NmeConfig = NmeConfig()):
+    """Yield an NmeProbe for each distinct p in ps, in ascending p, from one Laplacian walk.
 
-    Builds the pruned graph's unnormalized Laplacian, takes its full
-    eigendecomposition and derives g_p = max(gap)/(lambda_max + eps),
-    r_p = p/max(g_p, eps) and the gap-argmax cluster count.
+    One descending_order up to max(ps) and one pass of _pruned_laplacians
+    build every pruned graph's unnormalized Laplacian; only the p asked for
+    take the full eigendecomposition, from which g_p = max(gap)/(lambda_max +
+    eps), r_p = p/max(g_p, eps) and the gap-argmax cluster count follow. An
+    empty ps yields nothing. Being a generator, it checks its input at the
+    first next(), not at the call.
 
     Raises:
         WrongStateError: input is not a raw-cosine matrix.
-        InvalidPError: p outside [1, n].
+        InvalidPError: some p outside [1, n].
     """
     if a.kind is not AffinityKind.RAW_COSINE:
-        raise WrongStateError(f"nme_at expects a raw-cosine matrix, got {a.kind.value}")
-    p = int(p)
-    if not 1 <= p <= a.n:
-        raise InvalidPError(f"p={p} outside [1, {a.n}]")
-    for lap in _pruned_laplacians(descending_order(a.data, p), p):
-        pass  # the buffer now holds the Laplacian at p
-    es = eigh(lap)
-    gp, rp, k = _nme_metrics(es.values, p, cfg)
-    return NmeProbe(p=p, gp=gp, rp=rp, k_at_p=k, eigensystem=es)
+        raise WrongStateError(f"nme probes expect a raw-cosine matrix, got {a.kind.value}")
+    wanted = {int(p) for p in ps}
+    bad = sorted(p for p in wanted if not 1 <= p <= a.n)
+    if bad:
+        raise InvalidPError(f"p={bad[0]} outside [1, {a.n}]")
+    if not wanted:
+        return
+    p_last = max(wanted)
+    for p, lap in enumerate(_pruned_laplacians(descending_order(a.data, p_last), p_last), start=1):
+        if p in wanted:
+            es = eigh(lap)
+            gp, rp, k = _nme_metrics(es.values, p, cfg)
+            yield NmeProbe(p=p, gp=gp, rp=rp, k_at_p=k, eigensystem=es)
+
+
+def nme_at(a: AffinityMatrix, p: int, cfg: NmeConfig = NmeConfig()) -> NmeProbe:
+    """The probe of one threshold p: nme_probes' one-p case, raising its errors at the call."""
+    return next(nme_probes(a, [p], cfg))
 
 
 def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
@@ -507,8 +520,6 @@ def nme_sc(emb: EmbeddingSequence, cfg: NmeConfig = NmeConfig()) -> tuple[Diariz
     Returns the per-segment labels as a DiarizationResult plus the full
     scan for diagnostics. Deterministic for a fixed cfg.seed.
     """
-    if emb.n < 4:
-        raise InputTooSmallError(f"need at least 4 segments, got {emb.n}")
     a = cosine_affinity(emb)
     scan = nme_scan(a, cfg)
     probe = nme_at(a, scan.p_hat, cfg)

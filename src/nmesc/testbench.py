@@ -39,15 +39,14 @@ class SynthSpec:
     """Recipe for a synthetic speaker-embedding corpus with known labels.
 
     segments_per_cluster is either a fixed count or an inclusive (lo, hi)
-    range sampled per cluster. noise is the pre-normalization gaussian
-    amplitude; within_concentration scales the centroid before noise is
-    added, so larger values give tighter clusters.
+    range sampled per cluster. noise is the gaussian amplitude added to the
+    unit centroid before normalization, so smaller values give tighter
+    clusters.
     """
 
     n_clusters: int
     segments_per_cluster: int | tuple[int, int]
     dim: int
-    within_concentration: float = 1.0
     noise: float = 0.0
     seed: int = 42
 
@@ -58,8 +57,6 @@ class SynthSpec:
             raise ValueError("dim must be >= 2")
         if self.noise < 0:
             raise ValueError("noise must be >= 0")
-        if not self.within_concentration > 0:
-            raise ValueError("within_concentration must be positive")
         if isinstance(self.segments_per_cluster, tuple):
             lo, hi = self.segments_per_cluster
             if not 1 <= lo <= hi:
@@ -91,10 +88,11 @@ def _draw_centroids(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
 def generate(spec: SynthSpec) -> tuple[EmbeddingSequence, np.ndarray]:
     """Build a labeled embedding sequence on the unit sphere.
 
-    Cluster centroids are rejection-sampled to pairwise angles of at least
-    60 degrees; members are normalize(concentration * centroid + noise * g)
-    with g standard gaussian. Segment order is shuffled and timestamps are
-    contiguous with millisecond-exact durations. Deterministic per seed.
+    Unit cluster centroids are rejection-sampled to pairwise angles of at
+    least 60 degrees; members are normalize(centroid + noise * g) with g
+    standard gaussian, so at noise 0 each member is its centroid to rounding.
+    Segment order is shuffled and timestamps are contiguous with
+    millisecond-exact durations. Deterministic per seed.
 
     Returns:
         (embedding sequence, ground-truth label per segment)
@@ -114,14 +112,10 @@ def generate(spec: SynthSpec) -> tuple[EmbeddingSequence, np.ndarray]:
     labels = []
     for ci in range(spec.n_clusters):
         for _ in range(int(counts[ci])):
-            v = spec.within_concentration * centroids[ci]
+            v = centroids[ci]
             if spec.noise > 0:
                 v = v + spec.noise * rng.standard_normal(spec.dim)
-            norm = np.linalg.norm(v)
-            while norm <= 1e-12:  # pragma: no cover - measure-zero under gaussian noise
-                v = spec.within_concentration * centroids[ci] + spec.noise * rng.standard_normal(spec.dim)
-                norm = np.linalg.norm(v)
-            vectors.append(v / norm)
+            vectors.append(v / np.linalg.norm(v))
             labels.append(ci)
     vectors = np.array(vectors)
     labels = np.array(labels, dtype=int)

@@ -26,6 +26,7 @@ from nmesc import (
     generate,
     kmeans,
     nme_at,
+    nme_probes,
     nme_sc,
     score_der,
     spectral_embedding,
@@ -110,8 +111,7 @@ def test_criterion_3_rp_is_error_proxy(corpus) -> None:
         err_hat = 1.0 - best_map_accuracy(t.result.labels, t.truth)
         a = cosine_affinity(t.emb)
         best_err = err_hat
-        for p in range(1, t.scan.p_max + 1):
-            probe = nme_at(a, p, cfg)
+        for probe in nme_probes(a, range(1, t.scan.p_max + 1), cfg):
             points = spectral_embedding(probe.eigensystem, probe.k_at_p)
             km = kmeans(points, probe.k_at_p, KMeansConfig(seed=cfg.seed, restarts=4))
             best_err = min(best_err, 1.0 - best_map_accuracy(km.labels, t.truth))
@@ -140,7 +140,7 @@ def test_criterion_4_spectral_invariant_suite() -> None:
         values = probe.eigensystem.values
         assert values[0] >= -1e-9
         assert int((values < 1e-9).sum()) == matrix_component_count(sym.data)
-        bumped = AffinityMatrix(data=sym.data + np.eye(n), kind=AffinityKind.SYMMETRIZED, p=p)
+        bumped = AffinityMatrix(data=sym.data + np.eye(n), kind=AffinityKind.SYMMETRIZED)
         assert np.array_equal(unnormalized_laplacian(bumped), lap)
         assert 0.0 <= probe.gp <= 1.0
         assert probe.rp >= p

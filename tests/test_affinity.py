@@ -197,9 +197,7 @@ def test_symmetrize_fixed_point_for_symmetric_input() -> None:
 def test_symmetrize_direct_two_by_two() -> None:
     from nmesc import AffinityMatrix
 
-    a = AffinityMatrix(
-        data=np.array([[1.0, 1.0], [0.0, 1.0]]), kind=AffinityKind.BINARIZED, p=1
-    )
+    a = AffinityMatrix(data=np.array([[1.0, 1.0], [0.0, 1.0]]), kind=AffinityKind.BINARIZED)
     assert np.array_equal(symmetrize(a).data, np.array([[1.0, 0.5], [0.5, 1.0]]))
 
 

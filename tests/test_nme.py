@@ -17,6 +17,7 @@ from nmesc import (
     EmbeddingSequence,
     InputTooSmallError,
     InvalidKError,
+    InvalidPError,
     IsolatedNodeError,
     NjwConfig,
     NmeConfig,
@@ -34,6 +35,7 @@ from nmesc import (
     generate,
     kernel_affinity,
     nme_at,
+    nme_probes,
     nme_sc,
     nme_scan,
     njw_sc,
@@ -206,6 +208,34 @@ def test_nme_at_identical_embeddings_fully_connected() -> None:
     assert zero_mult == matrix_component_count(sym.data) == 1
 
 
+def test_nme_probes_yield_each_distinct_p_once_in_ascending_order() -> None:
+    a = cosine_affinity(random_embeddings(np.random.default_rng(10), 9, 3))
+    probes = list(nme_probes(a, [5, 2, 5]))
+    assert [probe.p for probe in probes] == [2, 5]
+    for probe in probes:
+        single = nme_at(a, probe.p)
+        assert (probe.gp, probe.rp, probe.k_at_p) == (single.gp, single.rp, single.k_at_p)
+    assert list(nme_probes(a, [])) == []
+
+
+def test_nme_probes_reject_a_p_outside_one_to_n_at_the_first_next() -> None:
+    a = cosine_affinity(random_embeddings(np.random.default_rng(11), 6, 3))
+    for p in (0, 7):
+        with pytest.raises(InvalidPError, match=f"p={p} outside"):
+            nme_at(a, p)
+        probes = nme_probes(a, [3, p])  # nothing is checked until the first next()
+        with pytest.raises(InvalidPError, match=f"p={p} outside"):
+            next(probes)
+
+
+def test_nme_probes_reject_a_symmetrized_matrix() -> None:
+    sym = symmetrize(binarize(cosine_affinity(random_embeddings(np.random.default_rng(12), 6, 3)), 2))
+    with pytest.raises(WrongStateError):
+        nme_at(sym, 2)
+    with pytest.raises(WrongStateError):
+        next(nme_probes(sym, []))
+
+
 def test_nme_metrics_bounds_hold_on_random_inputs() -> None:
     for seed in range(15):
         rng = np.random.default_rng(seed)
@@ -306,8 +336,15 @@ def _affinities_with_duplicates(draw) -> AffinityMatrix:
 @given(a=_affinities_with_duplicates())
 def test_pruned_laplacians_equal_public_chain_at_every_p(a) -> None:
     laplacians = _pruned_laplacians(descending_order(a.data, a.n), a.n)
-    for p, lap in enumerate(laplacians, start=1):
-        assert np.array_equal(lap, unnormalized_laplacian(symmetrize(binarize(a, p))))
+    probes = nme_probes(a, range(1, a.n + 1))
+    for p, lap, probe in zip(range(1, a.n + 1), laplacians, probes, strict=True):
+        chain = unnormalized_laplacian(symmetrize(binarize(a, p)))
+        assert np.array_equal(lap, chain)
+        want = eigh(chain)
+        for got in (probe, nme_at(a, p)):
+            assert got.p == p
+            assert np.array_equal(got.eigensystem.values, want.values)
+            assert np.array_equal(got.eigensystem.vectors, want.vectors)
 
 
 @settings(max_examples=100, deadline=None)
@@ -609,8 +646,9 @@ def test_nme_scan_agrees_with_probe_within_tolerance() -> None:
     a = cosine_affinity(random_embeddings(rng, 16, 4))
     cfg = NmeConfig()
     scan = nme_scan(a, cfg)
-    for entry in scan.entries:
-        probe = nme_at(a, entry.p, cfg)
+    probes = nme_probes(a, [e.p for e in scan.entries], cfg)
+    for entry, probe in zip(scan.entries, probes, strict=True):
+        assert probe.p == entry.p
         assert entry.gp == pytest.approx(probe.gp, abs=1e-9)
         assert entry.rp == pytest.approx(probe.rp, rel=1e-9)
         assert entry.k_at_p == probe.k_at_p

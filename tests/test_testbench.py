@@ -13,6 +13,7 @@ from nmesc import (
     cosine_affinity,
     generate,
 )
+from nmesc.testbench import _draw_centroids
 from oracles import exhaustive_map_accuracy, matrix_component_count
 
 
@@ -46,6 +47,13 @@ def test_generate_noise_free_blocks_are_ideal() -> None:
     same = truth[:, None] == truth[None, :]
     assert a[same].min() >= 1.0 - 1e-12
     assert a[~same].max() <= 0.5 + 1e-12  # centroids at >= 60 degrees
+
+
+def test_generate_noise_free_members_are_their_centroids() -> None:
+    spec = SynthSpec(n_clusters=3, segments_per_cluster=4, dim=5, noise=0.0, seed=8)
+    emb, truth = generate(spec)
+    centroids = _draw_centroids(spec, np.random.default_rng(spec.seed))  # generate's first draws
+    assert np.abs(emb.vectors - centroids[truth]).max() <= 1e-15
 
 
 def test_generate_unit_norm_and_contiguous_times() -> None:
