@@ -3,9 +3,8 @@
 Scoring runs on exact rationals (seconds held as `Fraction`s parsed from
 their decimal rendering, then scaled to common integer ticks) so interval
 arithmetic never drifts. The speaker mapping is a Hungarian assignment on
-the integer tick overlaps. Its solver works in float64, so the costs are
-exact below 2**53 ticks; at the 1 ms ticks of RTTM times and the usual
-collars, that bound is about 285 000 years of audio.
+the integer tick overlaps, solved in Python ints, so it is exact at any
+recording length and needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -406,25 +405,69 @@ def _recording_times(
 
 
 def _optimal_mapping(overlap: dict[tuple[str, str], int]) -> dict[str, str]:
-    """One-to-one hyp->ref map maximizing total matched time.
+    """One-to-one hyp->ref map maximizing the total of `overlap[(ref, hyp)]`.
 
-    `overlap` holds integer ticks. The solver works in float64, so the
-    costs and the sums it forms of them are exact while the scored time
-    stays below 2**53 ticks (see the module docstring).
+    Kuhn–Munkres with row and column potentials, O(k³) in k = max(refs,
+    hyps). The overlaps are padded with zeros to a square matrix, refs as
+    rows and hyps as columns, each in sorted name order, and every step is
+    Python-int arithmetic, so the matched total is exact at any magnitude.
+    Pairs that overlap by 0 are left out of the map.
+
+    Ties: refs are added one at a time in sorted order, each along a
+    shortest augmenting path in reduced costs, and wherever hyps are equally
+    near the lowest-sorted one is taken. So among equally good maps the one
+    returned depends on the overlaps and the sorted names alone, never on
+    the dict's insertion order.
     """
     if not overlap:
         return {}
-    from scipy.optimize import linear_sum_assignment  # here, so runs that never score skip its import
-
     refs = sorted({r for r, _ in overlap})
     hyps = sorted({h for _, h in overlap})
-    ref_idx = {r: i for i, r in enumerate(refs)}
-    hyp_idx = {h: i for i, h in enumerate(hyps)}
-    cost = np.zeros((len(refs), len(hyps)))
-    for (r, h), v in overlap.items():
-        cost[ref_idx[r], hyp_idx[h]] = v
-    rows, cols = linear_sum_assignment(-cost)
-    return {hyps[c]: refs[r] for r, c in zip(rows, cols) if cost[r, c] > 0}
+    ref_row = {r: i for i, r in enumerate(refs, 1)}
+    hyp_col = {h: j for j, h in enumerate(hyps, 1)}
+    n = max(len(refs), len(hyps))
+    # cost[i][j] = -overlap for ref row i and hyp column j, 1-based so column 0 can stand for a new row.
+    cost = [[0] * (n + 1) for _ in range(n + 1)]
+    for (r, h), ticks in overlap.items():
+        cost[ref_row[r]][hyp_col[h]] = -ticks
+    u = [0] * (n + 1)  # row potentials
+    v = [0] * (n + 1)  # column potentials
+    row_of = [0] * (n + 1)  # row_of[j]: the row column j is matched to; 0 when free
+    for i in range(1, n + 1):
+        # Grow a tree of tight edges from row i, entered through column 0, until it reaches a free column.
+        row_of[0] = i
+        j0 = 0
+        slack = [math.inf] * (n + 1)
+        prev = [0] * (n + 1)
+        used = [False] * (n + 1)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            row, ui = cost[i0], u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    reduced = row[j] - ui - v[j]
+                    if reduced < slack[j]:
+                        slack[j], prev[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # augment: shift each column on the path back to the row before it
+            j1 = prev[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    return {
+        hyps[j - 1]: refs[row_of[j] - 1]
+        for j in range(1, len(hyps) + 1)
+        if cost[row_of[j]][j] < 0  # padded rows cost 0, so this also drops them
+    }
 
 
 def score_der(

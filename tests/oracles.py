@@ -2,9 +2,10 @@
 
 Nothing here shares an algorithm with the library: eigenvalues come from
 inertia-count bisection, k-means optima from exhaustive partition
-enumeration, label-map accuracy and DER speaker mappings from exhaustive
-permutation search, and the connected components of a neighbour list or of
-a matrix's positive entries from a breadth-first search over adjacency lists.
+enumeration, the best one-to-one assignment (and with it label-map accuracy
+and DER speaker mappings) from exhaustive permutation search, and the
+connected components of a neighbour list or of a matrix's positive entries
+from a breadth-first search over adjacency lists.
 """
 
 from __future__ import annotations
@@ -132,22 +133,29 @@ def matrix_component_count(data: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive label-map accuracy
+# Exhaustive one-to-one assignment and label-map accuracy
 # ---------------------------------------------------------------------------
+
+
+def exhaustive_matched_total(weights: dict):
+    """Highest total of weights[(a, b)] over every one-to-one map between the a and b names.
+
+    Names are the ones the keys use; a missing pair weighs 0, and with
+    non-negative weights leaving a name unmatched never pays more.
+    """
+    a_names = sorted({a for a, _ in weights})
+    b_names = sorted({b for _, b in weights})
+    padded = b_names + [None] * max(0, len(a_names) - len(b_names))
+    return max(
+        sum(weights.get((a, b), 0) for a, b in zip(a_names, perm))
+        for perm in itertools.permutations(padded, len(a_names))
+    )
 
 
 def exhaustive_map_accuracy(pred, truth) -> float:
     """Highest matching fraction over every one-to-one map of pred labels onto truth labels."""
     pred, truth = list(pred), list(truth)
-    counts = Counter(zip(pred, truth))
-    pred_names = sorted(set(pred))
-    truth_names = sorted(set(truth))
-    padded = truth_names + [None] * max(0, len(pred_names) - len(truth_names))
-    best = max(
-        sum(counts[(p, t)] for p, t in zip(pred_names, perm))
-        for perm in itertools.permutations(padded, len(pred_names))
-    )
-    return best / len(pred)
+    return exhaustive_matched_total(Counter(zip(pred, truth))) / len(pred)
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +215,4 @@ def oracle_der_components(ref_records, hyp_records, collar, score_overlap: bool)
             for h in active_h:
                 pair_time[(r, h)] += span
 
-    best_match = Fraction(0)
-    m = max(len(ref_names), len(hyp_names))
-    padded_refs = ref_names + [None] * (m - len(ref_names))
-    for perm in itertools.permutations(padded_refs):
-        total = Fraction(0)
-        for h, r in zip(hyp_names, perm):
-            if r is not None:
-                total += pair_time[(r, h)]
-        best_match = max(best_match, total)
-    return scored, missed, fa, min_active - best_match
+    return scored, missed, fa, min_active - exhaustive_matched_total(pair_time)

@@ -252,15 +252,27 @@ def test_module_invocation_subprocess(tmp_path) -> None:
     assert usage.returncode == 2
 
 
-def test_cluster_does_not_import_the_scorers_solver(tmp_path) -> None:
-    # Only scoring needs scipy.optimize; a fresh interpreter shows what cluster loads.
-    emb, _ = _synth(tmp_path, clusters=3, per_cluster=10, dim=16)
+def test_no_command_or_label_map_imports_scipy(tmp_path) -> None:
+    # Scoring and best_map_accuracy share an assignment solver written in Python;
+    # a fresh interpreter shows that no command, nor the label map, loads scipy.
+    emb, truth = tmp_path / "emb.jsonl", tmp_path / "truth.rttm"
+    hyp, njw = tmp_path / "hyp.rttm", tmp_path / "njw.rttm"
+    commands = [
+        ["synth", "--clusters", "3", "--per-cluster", "10", "--dim", "16", "--seed", "42",
+         "--out", str(emb), "--truth-out", str(truth)],
+        ["cluster", "--embeddings", str(emb), "--out", str(hyp), "--scan-out", str(tmp_path / "scan.csv")],
+        ["cluster", "--embeddings", str(emb), "--out", str(njw), "--method", "njw-sc", "--sigma", "0.5"],
+        ["score", "--ref", str(truth), "--hyp", str(hyp)],
+    ]
     script = (
         "import sys\n"
         "from nmesc.cli import main\n"
-        f"assert main(['cluster', '--embeddings', {str(emb)!r}, '--out', {str(tmp_path / 'out.rttm')!r}]) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "from nmesc import best_map_accuracy\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert best_map_accuracy([0, 0, 1, 2], [5, 5, 7, 7]) == 0.75\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"

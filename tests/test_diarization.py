@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from decimal import ROUND_HALF_EVEN, Decimal
 
 import numpy as np
@@ -23,7 +24,8 @@ from nmesc import (
     write_rttm,
 )
 from nmesc import EmbeddingSequence
-from oracles import oracle_der_components
+from nmesc.diarization import _optimal_mapping
+from oracles import exhaustive_matched_total, oracle_der_components
 
 
 def _rec(spk: str, onset: float, dur: float, rec_id: str = "rec") -> RttmRecord:
@@ -464,6 +466,45 @@ def test_score_der_mapping_matches_exhaustive_oracle() -> None:
         assert rep.missed == float(missed / scored)
         assert rep.false_alarm == float(fa / scored)
         assert rep.speaker_error == float(se / scored)
+
+
+_TICKS = {
+    "ties": st.integers(0, 3),
+    "wide": st.integers(0, 2**60),
+    # float64 steps are 128 and 256 on either side of 2**60, so nearby values round together
+    "near 2**60": st.integers(2**60 - 600, 2**60 + 600),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_ref=st.integers(1, 7),
+    n_hyp=st.integers(1, 7),
+    scale=st.sampled_from(sorted(_TICKS)),
+    data=st.data(),
+)
+def test_optimal_mapping_matches_exhaustive_oracle(n_ref: int, n_hyp: int, scale: str, data) -> None:
+    pairs = list(itertools.product((f"r{i}" for i in range(n_ref)), (f"h{j}" for j in range(n_hyp))))
+    # None leaves the pair out of the dict; 0 keeps it with no overlap.
+    cells = data.draw(st.lists(st.none() | _TICKS[scale], min_size=len(pairs), max_size=len(pairs)))
+    overlap = {pair: ticks for pair, ticks in zip(pairs, cells) if ticks is not None}
+    mapping = _optimal_mapping(overlap)
+    assert len(set(mapping.values())) == len(mapping)
+    assert all(overlap.get((r, h), 0) > 0 for h, r in mapping.items())
+    assert sum(overlap[(r, h)] for h, r in mapping.items()) == exhaustive_matched_total(overlap)
+    shuffled = dict(data.draw(st.permutations(list(overlap.items()))))
+    assert _optimal_mapping(shuffled) == mapping
+
+
+def test_optimal_mapping_is_exact_past_two_to_the_53() -> None:
+    # Found by a random search against the float64 assignment this solver replaced: in
+    # float64 both two-pair totals read 2**61, and that solver took the off-diagonal map,
+    # 362 ticks short of the best.
+    big = 2**60
+    overlap = {("r0", "h0"): big - 63, ("r0", "h1"): big + 133, ("r1", "h0"): big - 271, ("r1", "h1"): big + 287}
+    assert float(big - 63) + float(big + 287) == float(big + 133) + float(big - 271)
+    assert _optimal_mapping(overlap) == {"h0": "r0", "h1": "r1"}
+    assert exhaustive_matched_total(overlap) == 2 * big + 224
 
 
 def test_score_der_label_bijection_invariance() -> None:
