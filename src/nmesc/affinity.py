@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _freeze
+
 __all__ = [
     "AffinityKind",
     "AffinityMatrix",
@@ -61,9 +63,8 @@ class EmbeddingSequence:
     recording_id: str = "rec"
 
     def __post_init__(self):
-        starts = np.array(self.starts, dtype=float, copy=True)
-        ends = np.array(self.ends, dtype=float, copy=True)
-        vectors = np.atleast_2d(np.array(self.vectors, dtype=float, copy=True))
+        _freeze(self, starts=self.starts, ends=self.ends, vectors=np.atleast_2d(self.vectors))
+        starts, ends, vectors = self.starts, self.ends, self.vectors
         n = starts.shape[0]
         if n < 2:
             raise ValueError(f"need at least 2 segments, got {n}")
@@ -82,9 +83,6 @@ class EmbeddingSequence:
         if np.any(norms <= 1e-12):
             bad = int(np.argmax(norms <= 1e-12))
             raise ZeroNormError(f"segment {bad} has a zero-norm embedding", index=bad)
-        for name, arr in (("starts", starts), ("ends", ends), ("vectors", vectors)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -110,11 +108,9 @@ class AffinityMatrix:
     kind: AffinityKind
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=float, copy=True)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise ValueError(f"affinity matrix must be square, got shape {data.shape}")
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        _freeze(self, data=self.data)
+        if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
+            raise ValueError(f"affinity matrix must be square, got shape {self.data.shape}")
 
     @property
     def n(self) -> int:
@@ -158,11 +154,10 @@ def descending_order(data: np.ndarray, count: int) -> np.ndarray:
     """The first `count` per-row column indices by descending value, ties by ascending column.
 
     Equals np.argsort(-data, axis=1, kind="stable")[:, :count] for finite
-    data, ties included, without sorting whole rows. np.partition finds each
-    row's count-th largest value; np.nonzero lists the candidates at or above
-    it, row by row in ascending column order (ties can make more than count).
-    They are packed left-aligned into rows padded with +inf, so a stable sort
-    of each packed row keeps ascending columns among ties and the padding last.
+    data, ties included. np.partition finds each row's count-th largest value;
+    the entries at or above it (ties can make more than count) sort by their
+    negated value and every other entry by +inf, so a stable sort of these
+    keys puts the candidates first, in ascending column order among ties.
     Rows go in blocks of _ORDER_BLOCK_ROWS, so every temporary stays small.
     """
     data = np.asarray(data, dtype=float)
@@ -174,15 +169,8 @@ def descending_order(data: np.ndarray, count: int) -> np.ndarray:
     for start in range(0, n, _ORDER_BLOCK_ROWS):
         block = data[start : start + _ORDER_BLOCK_ROWS]
         threshold = np.partition(block, width - count, axis=1)[:, [width - count]]
-        rows, cols = np.nonzero(block >= threshold)
-        per_row = np.bincount(rows, minlength=block.shape[0])
-        slot = np.arange(rows.shape[0]) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-        packed = np.full((block.shape[0], int(per_row.max())), np.inf)
-        packed[rows, slot] = -block[rows, cols]
-        packed_cols = np.zeros(packed.shape, dtype=np.intp)
-        packed_cols[rows, slot] = cols
-        ranks = np.argsort(packed, axis=1, kind="stable")[:, :count]
-        order[start : start + _ORDER_BLOCK_ROWS] = np.take_along_axis(packed_cols, ranks, axis=1)
+        keys = np.where(block >= threshold, -block, np.inf)
+        order[start : start + _ORDER_BLOCK_ROWS] = np.argsort(keys, axis=1, kind="stable")[:, :count]
     return order
 
 

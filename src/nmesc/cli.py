@@ -152,16 +152,11 @@ def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     aggregate, per_recording = score_recordings(ref, hyp, collar=args.collar, score_overlap=args.overlap)
     header = f"{'recording':<16}{'DER':>8}{'MS':>8}{'FA':>8}{'SE':>8}{'scored(s)':>12}"
     print(header)
-    for rec_id, rep in per_recording.items():
+    rows = [*per_recording.items(), *([("OVERALL", aggregate)] if len(per_recording) > 1 else [])]
+    for rec_id, rep in rows:
         print(
             f"{rec_id:<16}{rep.der:>8.4f}{rep.missed:>8.4f}{rep.false_alarm:>8.4f}"
             f"{rep.speaker_error:>8.4f}{rep.scored_time:>12.3f}"
-        )
-    if len(per_recording) > 1:
-        print(
-            f"{'OVERALL':<16}{aggregate.der:>8.4f}{aggregate.missed:>8.4f}"
-            f"{aggregate.false_alarm:>8.4f}{aggregate.speaker_error:>8.4f}"
-            f"{aggregate.scored_time:>12.3f}"
         )
     print(
         f"DER={aggregate.der:.4f} MS={aggregate.missed:.4f} "

@@ -21,6 +21,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .affinity import EmbeddingSequence
+from .numerics import _freeze
 
 __all__ = [
     "DiarizationResult",
@@ -66,19 +67,15 @@ class DiarizationResult:
     labels: np.ndarray
 
     def __post_init__(self):
-        starts = np.array(self.starts, dtype=float, copy=True)
-        ends = np.array(self.ends, dtype=float, copy=True)
-        labels = np.array(self.labels, dtype=int, copy=True)
-        if not (starts.shape == ends.shape == labels.shape) or starts.ndim != 1:
+        _freeze(self, starts=self.starts, ends=self.ends)
+        _freeze(self, int, labels=self.labels)
+        if not (self.starts.shape == self.ends.shape == self.labels.shape) or self.starts.ndim != 1:
             raise ValueError("starts, ends and labels must be 1-d arrays of equal length")
-        if np.any(ends <= starts):
+        if np.any(self.ends <= self.starts):
             raise ValueError("every segment must have end > start")
-        distinct = np.unique(labels)
+        distinct = np.unique(self.labels)
         if distinct.size and not np.array_equal(distinct, np.arange(distinct.size)):
             raise ValueError("labels must form a contiguous range [0, k)")
-        for name, arr in (("starts", starts), ("ends", ends), ("labels", labels)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -89,9 +86,18 @@ class DiarizationResult:
         return int(self.labels.max()) + 1 if self.n else 0
 
 
+def _check_rttm_name(what: str, value) -> None:
+    """Raise ValueError unless value can be an RTTM name field: a non-empty string without whitespace."""
+    if not (isinstance(value, str) and value.split() == [value]):
+        raise ValueError(f"{what} must be a non-empty string without whitespace, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RttmRecord:
-    """One speaker turn: onset and duration in seconds."""
+    """One speaker turn: finite onset and duration in seconds.
+
+    recording_id and speaker are RTTM fields: non-empty strings without whitespace.
+    """
 
     recording_id: str
     onset: float
@@ -99,6 +105,10 @@ class RttmRecord:
     speaker: str
 
     def __post_init__(self):
+        _check_rttm_name("recording_id", self.recording_id)
+        _check_rttm_name("speaker", self.speaker)
+        if not (math.isfinite(self.onset) and math.isfinite(self.duration)):
+            raise ValueError(f"onset and duration must be finite, got {self.onset} and {self.duration}")
         if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.onset < 0:
@@ -128,8 +138,10 @@ def load_embeddings(path: str | Path) -> EmbeddingSequence:
 
     Each line holds {"start": s, "end": s, "embedding": [...]}; an optional
     first line {"recording_id": ..., "dim": ...} names the recording and
-    pins the dimension, which is otherwise the first segment's. Segments
-    are re-sorted by start time.
+    pins the dimension, which is otherwise the first segment's. The header's
+    recording id becomes an RTTM field, so it must be a non-empty string
+    without whitespace, and its dim an integer >= 1. Segments are re-sorted
+    by start time.
 
     Each line is converted and checked as it is read, and the first faulty
     line raises. Within a line the checks run in this order: JSON, fields
@@ -164,6 +176,10 @@ def load_embeddings(path: str | Path) -> EmbeddingSequence:
             if "embedding" not in obj:
                 if header:
                     recording_id = str(obj.get("recording_id", recording_id))
+                    try:
+                        _check_rttm_name("header 'recording_id'", recording_id)
+                    except ValueError as exc:
+                        raise ParseError(f"line {lineno}: {exc}") from exc
                     if "dim" in obj:
                         value = obj["dim"]
                         if type(value) is not int or value < 1:  # bool is an int subclass
@@ -216,9 +232,12 @@ def write_embeddings(emb: EmbeddingSequence, path: str | Path, header: bool = Tr
     """Write an embedding sequence in the JSON-Lines schema read by load_embeddings.
 
     With header=False the optional first line is omitted; the loader then
-    falls back to the default recording id.
+    falls back to the default recording id. With header=True the recording
+    id must be one the loader accepts.
     """
     path = Path(path)
+    if header:
+        _check_rttm_name("recording_id", emb.recording_id)
     with path.open("w", encoding="utf-8") as fh:
         if header:
             fh.write(json.dumps({"recording_id": emb.recording_id, "dim": emb.dim}) + "\n")
@@ -235,25 +254,13 @@ _MERGE_GAP = 1e-6  # seconds; adjacent same-speaker segments closer than this me
 
 def records_from_result(result: DiarizationResult) -> list[RttmRecord]:
     """Render a labeled timeline as RTTM records, merging touching same-label runs."""
-    records: list[RttmRecord] = []
-    open_start: float | None = None
-    open_end = 0.0
-    open_label = -1
-    for i in range(result.n):
-        s, e, lab = float(result.starts[i]), float(result.ends[i]), int(result.labels[i])
-        if open_start is not None and lab == open_label and s - open_end < _MERGE_GAP:
-            open_end = max(open_end, e)
-            continue
-        if open_start is not None:
-            records.append(
-                RttmRecord(result.recording_id, open_start, open_end - open_start, f"spk{open_label}")
-            )
-        open_start, open_end, open_label = s, e, lab
-    if open_start is not None:
-        records.append(
-            RttmRecord(result.recording_id, open_start, open_end - open_start, f"spk{open_label}")
-        )
-    return records
+    runs: list[list] = []  # [start, end, label] of each merged run
+    for s, e, lab in zip(result.starts.tolist(), result.ends.tolist(), result.labels.tolist()):
+        if runs and lab == runs[-1][2] and s - runs[-1][1] < _MERGE_GAP:
+            runs[-1][1] = max(runs[-1][1], e)
+        else:
+            runs.append([s, e, lab])
+    return [RttmRecord(result.recording_id, s, e - s, f"spk{lab}") for s, e, lab in runs]
 
 
 def write_rttm(result: DiarizationResult | Iterable[RttmRecord], sink: str | Path | IO[str]) -> None:
@@ -318,9 +325,7 @@ def load_rttm(path: str | Path) -> list[RttmRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _frac(x: float | str | Fraction) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _frac(x: float) -> Fraction:
     return Fraction(str(x))
 
 
@@ -517,29 +522,6 @@ def _group_by_recording(records: Sequence[RttmRecord]) -> dict[str, list[RttmRec
     return groups
 
 
-def _grouped_times(
-    ref: Sequence[RttmRecord],
-    hyp: Sequence[RttmRecord],
-    collar: float,
-    score_overlap: bool,
-):
-    """Per-recording component times, keyed and iterated in recording-id order."""
-    if not ref:
-        raise EmptyReferenceError("reference contains no records")
-    if not 0 <= collar < math.inf:
-        raise ValueError("collar must be a finite number >= 0")
-    ref_groups = _group_by_recording(ref)
-    hyp_groups = _group_by_recording(hyp)
-    orphans = sorted(set(hyp_groups) - set(ref_groups))
-    if orphans:
-        raise EmptyReferenceError(f"recording {orphans[0]}: no reference records")
-    exact_collar = _frac(collar)
-    for rec_id in sorted(ref_groups):
-        yield rec_id, _recording_times(
-            ref_groups[rec_id], hyp_groups.get(rec_id, []), exact_collar, score_overlap
-        )
-
-
 def score_recordings(
     ref: Sequence[RttmRecord],
     hyp: Sequence[RttmRecord],
@@ -553,9 +535,22 @@ def score_recordings(
             reference counterpart.
         ValueError: collar is negative or not finite.
     """
+    if not ref:
+        raise EmptyReferenceError("reference contains no records")
+    if not 0 <= collar < math.inf:
+        raise ValueError("collar must be a finite number >= 0")
+    ref_groups = _group_by_recording(ref)
+    hyp_groups = _group_by_recording(hyp)
+    orphans = sorted(set(hyp_groups) - set(ref_groups))
+    if orphans:
+        raise EmptyReferenceError(f"recording {orphans[0]}: no reference records")
+    exact_collar = _frac(collar)
     totals = [Fraction(0)] * 4
     per_recording: dict[str, DerReport] = {}
-    for rec_id, (scored, missed, fa, se, mapping) in _grouped_times(ref, hyp, collar, score_overlap):
+    for rec_id in sorted(ref_groups):
+        scored, missed, fa, se, mapping = _recording_times(
+            ref_groups[rec_id], hyp_groups.get(rec_id, []), exact_collar, score_overlap
+        )
         per_recording[rec_id] = _report(scored, missed, fa, se, mapping, collar)
         for i, v in enumerate((scored, missed, fa, se)):
             totals[i] += v

@@ -549,9 +549,7 @@ def njw_sc(emb: EmbeddingSequence, cfg: NjwConfig) -> DiarizationResult:
         raise InputTooSmallError(f"need at least 4 segments, got {emb.n}")
     es = eigh(normalized_laplacian(kernel_affinity(emb, cfg.sigma)))
     if cfg.k is not None:
-        if not 1 <= cfg.k <= emb.n:
-            raise InvalidKError(f"k={cfg.k} outside [1, {emb.n}]")
-        k = cfg.k
+        k = cfg.k  # kmeans raises InvalidKError for k > N
     else:
         # Gaps of the negated descending values are the descending gaps exactly: (-b) - (-a) = a - b.
         k = 1 + int(np.argmax(eigengap_vector(-es.values[::-1], cfg.max_speakers)))

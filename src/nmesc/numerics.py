@@ -36,10 +36,12 @@ class InvalidKError(ValueError):
     """Requested cluster count is outside [1, n]."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
+def _freeze(record, dtype=float, **arrays) -> None:
+    """Store a read-only copy of each array on a frozen dataclass record, under its keyword name."""
+    for name, value in arrays.items():
+        copy = np.array(value, dtype=dtype, copy=True)
+        copy.flags.writeable = False
+        object.__setattr__(record, name, copy)
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,7 @@ class EigenSystem:
     vectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(np.atleast_1d(self.values)))
-        object.__setattr__(self, "vectors", _readonly(np.atleast_2d(self.vectors)))
+        _freeze(self, values=np.atleast_1d(self.values), vectors=np.atleast_2d(self.vectors))
         n = self.values.shape[0]
         if self.vectors.shape != (n, n):
             raise ValueError(f"vectors must be {n}x{n}, got {self.vectors.shape}")
@@ -147,15 +148,8 @@ class KMeansResult:
     inertia_history: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=int, copy=True)
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "centroids", _readonly(self.centroids))
-        object.__setattr__(self, "inertia_history", _readonly(self.inertia_history))
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
+        _freeze(self, int, labels=self.labels)
+        _freeze(self, centroids=self.centroids, inertia_history=self.inertia_history)
 
 
 def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -205,26 +199,20 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
     centers = _kmeans_pp_init(points, k, rng)
     labels = np.full(n, -1, dtype=int)
     history: list[float] = []
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for passes in range(1, max_iter + 2):
         d2 = _sq_distances(points, centers)
         new_labels = np.argmin(d2, axis=1)  # ties: lowest centroid index
         _repair_empty(new_labels, d2, k)
         history.append(float(d2[np.arange(n), new_labels].sum()))
-        if np.array_equal(new_labels, labels):
+        # A pass after max_iter centroid updates only re-assigns, so the labels
+        # stay consistent with the centroids actually returned.
+        if passes > max_iter or np.array_equal(new_labels, labels):
             break
         labels = new_labels
         for j in range(k):
             centers[j] = points[labels == j].mean(axis=0)
-    else:
-        # Iteration cap hit after a centroid update: re-assign once so labels
-        # stay consistent with the centroids actually returned.
-        d2 = _sq_distances(points, centers)
-        labels = np.argmin(d2, axis=1)
-        _repair_empty(labels, d2, k)
-        history.append(float(d2[np.arange(n), labels].sum()))
-    inertia = float(_sq_distances(points, centers)[np.arange(n), labels].sum())
-    return labels, centers, inertia, iterations, np.asarray(history)
+    inertia = float(_sq_distances(points, centers)[np.arange(n), new_labels].sum())
+    return new_labels, centers, inertia, min(passes, max_iter), np.asarray(history)
 
 
 def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig = KMeansConfig()) -> KMeansResult:
@@ -252,17 +240,9 @@ def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig = KMeansConfig()) -> KM
     if not np.all(np.isfinite(points)):
         raise NonFiniteError("points contain non-finite entries")
 
-    best = None
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + restart)
-        labels, centers, inertia, iterations, history = _lloyd(points, k, rng, cfg.max_iter)
-        if best is None or inertia < best[0]:
-            best = (inertia, labels, centers, iterations, history)
-    inertia, labels, centers, iterations, history = best
-    return KMeansResult(
-        labels=labels,
-        centroids=centers,
-        inertia=inertia,
-        iterations=iterations,
-        inertia_history=history,
+    runs = (
+        _lloyd(points, k, np.random.default_rng(cfg.seed + restart), cfg.max_iter)
+        for restart in range(cfg.restarts)
     )
+    # _lloyd returns KMeansResult's fields in order; min keeps the first of equal inertias.
+    return KMeansResult(*min(runs, key=lambda run: run[2]))

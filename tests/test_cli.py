@@ -161,6 +161,21 @@ def test_cluster_njw_with_sigma(tmp_path) -> None:
     assert load_rttm(out)
 
 
+def test_cluster_refuses_a_recording_id_its_rttm_could_not_hold(tmp_path, capsys) -> None:
+    emb = tmp_path / "spaced.jsonl"
+    emb.write_text(
+        '{"recording_id": "my rec"}\n'
+        '{"start": 0.0, "end": 1.0, "embedding": [1.0, 0.0]}\n'
+        '{"start": 1.0, "end": 2.0, "embedding": [1.0, 0.0]}\n'
+        '{"start": 2.0, "end": 3.0, "embedding": [0.0, 1.0]}\n'
+        '{"start": 3.0, "end": 4.0, "embedding": [0.0, 1.0]}\n'
+    )
+    out = tmp_path / "out.rttm"
+    assert main(["cluster", "--embeddings", str(emb), "--out", str(out)]) == 1
+    assert "line 1: header 'recording_id'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cluster_missing_input_exits_one(tmp_path, capsys) -> None:
     code = main(["cluster", "--embeddings", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o.rttm")])
     assert code == 1

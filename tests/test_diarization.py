@@ -72,6 +72,19 @@ def test_load_embeddings_rejects_bad_header_dim(tmp_path, dim) -> None:
         load_embeddings(path)
 
 
+@pytest.mark.parametrize("recording_id", ['"my rec"', '""', '"a\\tb"', '["a", "b"]'])
+def test_load_embeddings_rejects_a_header_recording_id_rttm_cannot_hold(tmp_path, recording_id) -> None:
+    # The id becomes an RTTM field, which whitespace splits: load_rttm could not read it back.
+    path = tmp_path / "emb.jsonl"
+    path.write_text(
+        f'{{"recording_id": {recording_id}}}\n'
+        '{"start": 0.0, "end": 1.0, "embedding": [1.0, 0.0]}\n'
+        '{"start": 1.0, "end": 2.0, "embedding": [0.0, 1.0]}\n'
+    )
+    with pytest.raises(ParseError, match="line 1: header 'recording_id' must be a non-empty string"):
+        load_embeddings(path)
+
+
 _GOOD_ROW = '{"start": 0.0, "end": 1.0, "embedding": [1.0, 0.0]}'
 
 
@@ -161,6 +174,12 @@ def test_write_load_embeddings_round_trip(tmp_path_factory, data, header, record
     # Without a header the loader falls back to the default id, so only then is it "rec".
     emb = data.draw(_embedding_sequences(recording_id if header else "rec"))
     path = tmp_path_factory.mktemp("jsonl") / "emb.jsonl"
+    if header and recording_id.split() != [recording_id]:
+        # An id with whitespace is refused before the writer writes a header the loader would refuse.
+        with pytest.raises(ValueError, match="recording_id must be a non-empty string without whitespace"):
+            write_embeddings(emb, path, header=header)
+        assert not path.exists()
+        return
     write_embeddings(emb, path, header=header)
     back = load_embeddings(path)
     assert back.recording_id == emb.recording_id
@@ -343,6 +362,40 @@ def test_load_rttm_rejects_malformed(tmp_path) -> None:
     path.write_text("SPEAKER rec 1 zero 1.000 <NA> <NA> spk0 <NA> <NA>\n")
     with pytest.raises(ParseError, match="onset"):
         load_rttm(path)
+    for onset, duration in (("nan", "1.000"), ("0.000", "inf"), ("inf", "1.000")):
+        path.write_text(f"SPEAKER rec 1 {onset} {duration} <NA> <NA> spk0 <NA> <NA>\n")
+        with pytest.raises(ParseError, match="line 1: onset and duration must be finite"):
+            load_rttm(path)
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("recording_id", "my rec"),
+        ("recording_id", ""),
+        ("speaker", "spk 0"),
+        ("speaker", ""),
+        ("speaker", "a\u2028b"),
+        ("onset", float("nan")),
+        ("onset", float("inf")),
+        ("duration", float("inf")),
+        ("duration", float("nan")),
+    ],
+)
+def test_rttm_record_rejects_what_an_rttm_line_cannot_hold(field, value) -> None:
+    fields = {"recording_id": "rec", "onset": 0.0, "duration": 1.0, "speaker": "spk0", field: value}
+    if field in ("onset", "duration"):
+        message = "onset and duration must be finite"
+    else:
+        message = f"{field} must be a non-empty string without whitespace"
+    with pytest.raises(ValueError, match=message):
+        RttmRecord(**fields)
+
+
+def test_write_rttm_refuses_a_result_whose_recording_id_holds_whitespace(tmp_path) -> None:
+    result = DiarizationResult(recording_id="my rec", starts=[0.0], ends=[1.0], labels=[0])
+    with pytest.raises(ValueError, match="recording_id must be a non-empty string without whitespace"):
+        write_rttm(result, tmp_path / "out.rttm")
 
 
 def test_load_rttm_skips_comments_and_blanks(tmp_path) -> None:

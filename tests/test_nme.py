@@ -889,6 +889,8 @@ def test_njw_sc_two_ideal_pairs(two_ideal_pairs) -> None:
 def test_njw_sc_k_override(two_ideal_pairs) -> None:
     result = njw_sc(two_ideal_pairs, NjwConfig(sigma=1.0, k=3))
     assert result.num_speakers == 3
+    with pytest.raises(InvalidKError, match=r"^k=5 outside \[1, 4\]$"):
+        njw_sc(two_ideal_pairs, NjwConfig(sigma=1.0, k=two_ideal_pairs.n + 1))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from nmesc import (
+    AffinityKind,
+    AffinityMatrix,
+    DiarizationResult,
+    EigenSystem,
+    EmbeddingSequence,
     InvalidKError,
     KMeansConfig,
+    KMeansResult,
     NonFiniteError,
     eigh,
     kmeans,
@@ -13,6 +19,38 @@ from nmesc import (
 from oracles import bisection_eigenvalues, brute_force_kmeans_inertia
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+# (record type, its array fields, its other fields) for every record that holds arrays.
+_ARRAY_RECORDS = [
+    (EmbeddingSequence, {"starts": [0.0, 1.0], "ends": [1.0, 2.0], "vectors": [[1.0, 0.0], [0.0, 1.0]]}, {}),
+    (AffinityMatrix, {"data": [[1.0, 0.5], [0.5, 1.0]]}, {"kind": AffinityKind.RAW_COSINE}),
+    (EigenSystem, {"values": [0.0, 2.0], "vectors": [[1.0, 0.0], [0.0, 1.0]]}, {}),
+    (
+        KMeansResult,
+        {"labels": [0, 1], "centroids": [[0.0], [1.0]], "inertia_history": [1.0, 0.0]},
+        {"inertia": 0.0, "iterations": 2},
+    ),
+    (DiarizationResult, {"starts": [0.0, 1.0], "ends": [1.0, 2.0], "labels": [0, 1]}, {"recording_id": "r"}),
+]
+
+
+@pytest.mark.parametrize(("record_type", "arrays", "others"), _ARRAY_RECORDS, ids=[r[0].__name__ for r in _ARRAY_RECORDS])
+def test_records_hold_read_only_copies_of_their_arrays(record_type, arrays, others) -> None:
+    sources = {name: np.array(value) for name, value in arrays.items()}
+    record = record_type(**sources, **others)
+    for name, source in sources.items():
+        held = getattr(record, name)
+        assert not held.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            held[...] = 7
+        expected = source.copy()
+        source += 1  # the caller's array changes after construction; the record must not
+        assert np.array_equal(getattr(record, name), expected), name
 
 
 # ---------------------------------------------------------------------------
