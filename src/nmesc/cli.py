@@ -1,10 +1,11 @@
 """Command-line interface: cluster, score and synth subcommands.
 
-Every file-producing run drops a JSON manifest next to its primary output
-recording the resolved configuration and input digests, so identical
-manifests imply bit-identical outputs for a fixed BLAS thread count. The
-last bits of the eigenvalues, which the scan CSV prints in full, can move
-with the number of threads the BLAS uses.
+Every file-producing run writes `<out>.manifest.json` next to its primary
+output: a JSON object (indent 2, sorted keys) holding the command, the
+resolved configuration, the input digests, the tool name and its version.
+Identical manifests imply bit-identical outputs for a fixed BLAS thread
+count. The last bits of the eigenvalues, which the scan CSV prints in full,
+can move with the number of threads the BLAS uses.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -28,21 +28,7 @@ from .diarization import (
 from .nme import NjwConfig, NmeConfig, NmeScan, nme_sc, njw_sc
 from .testbench import SynthSpec, generate
 
-__all__ = ["RunManifest", "scan_to_csv", "main", "entrypoint"]
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record serialized alongside every output file."""
-
-    command: str
-    config: dict
-    inputs: dict = field(default_factory=dict)
-    tool: str = "nmesc"
-    version: str = __version__
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+__all__ = ["scan_to_csv", "main", "entrypoint"]
 
 
 def _sha256(path: str | Path) -> str:
@@ -50,10 +36,10 @@ def _sha256(path: str | Path) -> str:
     return f"sha256:{digest}"
 
 
-def _write_manifest(primary_out: str | Path, manifest: RunManifest) -> Path:
-    path = Path(str(primary_out) + ".manifest.json")
-    path.write_text(manifest.to_json(), encoding="utf-8")
-    return path
+def _write_manifest(out: str | Path, command: str, config: dict, inputs: dict) -> None:
+    manifest = dict(command=command, config=config, inputs=inputs, tool="nmesc", version=__version__)
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    Path(str(out) + ".manifest.json").write_text(text, encoding="utf-8")
 
 
 def scan_to_csv(scan: NmeScan) -> str:
@@ -136,10 +122,7 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     write_rttm(result, args.out)
     if args.scan_out is not None:
         Path(args.scan_out).write_text(scan_to_csv(scan), encoding="utf-8")
-    manifest = RunManifest(
-        command="cluster", config=config, inputs={args.embeddings: _sha256(args.embeddings)}
-    )
-    _write_manifest(args.out, manifest)
+    _write_manifest(args.out, "cluster", config, {args.embeddings: _sha256(args.embeddings)})
     print(f"wrote {args.out} ({result.num_speakers} speakers, {result.n} segments)")
     return 0
 
@@ -182,17 +165,14 @@ def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         recording_id=emb.recording_id, starts=emb.starts, ends=emb.ends, labels=truth
     )
     write_rttm(truth_result, args.truth_out)
-    manifest = RunManifest(
-        command="synth",
-        config={
-            "clusters": spec.n_clusters,
-            "per_cluster": spec.segments_per_cluster,
-            "dim": spec.dim,
-            "noise": spec.noise,
-            "seed": spec.seed,
-        },
-    )
-    _write_manifest(args.out, manifest)
+    config = {
+        "clusters": spec.n_clusters,
+        "per_cluster": spec.segments_per_cluster,
+        "dim": spec.dim,
+        "noise": spec.noise,
+        "seed": spec.seed,
+    }
+    _write_manifest(args.out, "synth", config, {})
     print(f"wrote {args.out} ({emb.n} segments) and {args.truth_out}")
     return 0
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,6 +71,11 @@ class DiarizationResult:
         _freeze(self, int, labels=self.labels)
         if not (self.starts.shape == self.ends.shape == self.labels.shape) or self.starts.ndim != 1:
             raise ValueError("starts, ends and labels must be 1-d arrays of equal length")
+        finite = np.isfinite(self.starts) & np.isfinite(self.ends)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            start, end = self.starts[i], self.ends[i]
+            raise ValueError(f"segment {i}: start and end must be finite, got {start} and {end}")
         if np.any(self.ends <= self.starts):
             raise ValueError("every segment must have end > start")
         distinct = np.unique(self.labels)
@@ -124,7 +129,6 @@ class DerReport:
     missed: float
     false_alarm: float
     scored_time: float
-    collar: float
     mapping: dict = field(default_factory=dict)
 
 
@@ -241,8 +245,8 @@ def write_embeddings(emb: EmbeddingSequence, path: str | Path, header: bool = Tr
     with path.open("w", encoding="utf-8") as fh:
         if header:
             fh.write(json.dumps({"recording_id": emb.recording_id, "dim": emb.dim}) + "\n")
-        for start, end, vec in zip(emb.starts.tolist(), emb.ends.tolist(), emb.vectors.tolist()):
-            fh.write(json.dumps({"start": start, "end": end, "embedding": vec}) + "\n")
+        for start, end, vec in zip(emb.starts.tolist(), emb.ends.tolist(), emb.vectors):
+            fh.write(json.dumps({"start": start, "end": end, "embedding": vec.tolist()}) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +267,8 @@ def records_from_result(result: DiarizationResult) -> list[RttmRecord]:
     return [RttmRecord(result.recording_id, s, e - s, f"spk{lab}") for s, e, lab in runs]
 
 
-def write_rttm(result: DiarizationResult | Iterable[RttmRecord], sink: str | Path | IO[str]) -> None:
-    """Write RTTM lines for a DiarizationResult or an iterable of records.
+def write_rttm(result: DiarizationResult | Iterable[RttmRecord], path: str | Path) -> None:
+    """Write RTTM lines for a DiarizationResult or an iterable of records to the file at path.
 
     Onset and end are rendered at millisecond resolution and the duration
     is the difference of the two rendered values, so a record read back
@@ -281,11 +285,7 @@ def write_rttm(result: DiarizationResult | Iterable[RttmRecord], sink: str | Pat
             lines.append(
                 f"SPEAKER {rec.recording_id} 1 {onset:.3f} {duration:.3f} <NA> <NA> {rec.speaker} <NA> <NA>\n"
             )
-    text = "".join(lines)
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text, encoding="utf-8")
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def load_rttm(path: str | Path) -> list[RttmRecord]:
@@ -501,16 +501,15 @@ def score_der(
     return report
 
 
-def _report(scored, missed, fa, se, mapping, collar) -> DerReport:
+def _report(scored, missed, fa, se, mapping) -> DerReport:
     if scored == 0:
-        return DerReport(0.0, 0.0, 0.0, 0.0, 0.0, float(collar), mapping)
+        return DerReport(0.0, 0.0, 0.0, 0.0, 0.0, mapping)
     return DerReport(
         der=float((missed + fa + se) / scored),
         speaker_error=float(se / scored),
         missed=float(missed / scored),
         false_alarm=float(fa / scored),
         scored_time=float(scored),
-        collar=float(collar),
         mapping=mapping,
     )
 
@@ -551,8 +550,8 @@ def score_recordings(
         scored, missed, fa, se, mapping = _recording_times(
             ref_groups[rec_id], hyp_groups.get(rec_id, []), exact_collar, score_overlap
         )
-        per_recording[rec_id] = _report(scored, missed, fa, se, mapping, collar)
+        per_recording[rec_id] = _report(scored, missed, fa, se, mapping)
         for i, v in enumerate((scored, missed, fa, se)):
             totals[i] += v
-    aggregate = _report(totals[0], totals[1], totals[2], totals[3], {}, collar)
+    aggregate = _report(*totals, {})
     return aggregate, per_recording

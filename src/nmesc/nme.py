@@ -376,8 +376,8 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
 
     One pass over p updates a single Laplacian and takes only its eigenvalues
     (nme_sc re-probes p_hat for eigenvectors). p_hat is the argmin of r_p
-    (lowest p on ties); k_hat is the gap-argmax at p_hat capped by
-    max_speakers, or cfg.fixed_k when set.
+    (lowest p on ties); k_hat is the gap-argmax at p_hat, whose window of
+    max_speakers gaps caps it, or cfg.fixed_k when set.
 
     The scan stops before the first p with p * (1 - 1e-9) >= the best r_p so
     far. L is positive semi-definite with lambda_1 = 0, so every gap is <=
@@ -499,7 +499,7 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
             vectors = eigh(lap).vectors[:, [*range(w), n - 1]]  # a copy: frees the other columns
             basis, x = vectors[:, :w], vectors[:, w]
 
-    k_hat = cfg.fixed_k if cfg.fixed_k is not None else min(best.k_at_p, cfg.max_speakers)
+    k_hat = cfg.fixed_k if cfg.fixed_k is not None else best.k_at_p
     return NmeScan(entries=tuple(entries), p_hat=best.p, k_hat=k_hat, p_max=p_max, skipped=tuple(skipped))
 
 

@@ -144,7 +144,6 @@ class KMeansResult:
     labels: np.ndarray
     centroids: np.ndarray
     inertia: float
-    iterations: int
     inertia_history: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
@@ -212,7 +211,7 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
         for j in range(k):
             centers[j] = points[labels == j].mean(axis=0)
     inertia = float(_sq_distances(points, centers)[np.arange(n), new_labels].sum())
-    return new_labels, centers, inertia, min(passes, max_iter), np.asarray(history)
+    return new_labels, centers, inertia, np.asarray(history)
 
 
 def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig = KMeansConfig()) -> KMeansResult:

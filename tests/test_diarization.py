@@ -688,3 +688,17 @@ def test_diarization_result_rejects_label_gaps() -> None:
             ends=np.array([0.0]),
             labels=np.array([0]),
         )
+
+
+@pytest.mark.parametrize(
+    ("starts", "ends", "segment", "shown"),
+    [
+        ([np.nan, 1.0], [1.0, 2.0], 0, "nan and 1.0"),
+        ([0.0, 1.0], [1.0, np.inf], 1, "1.0 and inf"),
+        ([0.0, -np.inf, np.nan], [1.0, 2.0, 3.0], 1, "-inf and 2.0"),
+    ],
+    ids=["nan-start", "inf-end", "first-of-two"],
+)
+def test_diarization_result_rejects_a_non_finite_time_naming_its_segment(starts, ends, segment, shown) -> None:
+    with pytest.raises(ValueError, match=f"^segment {segment}: start and end must be finite, got {shown}$"):
+        DiarizationResult("rec", starts, ends, [0] * len(starts))
