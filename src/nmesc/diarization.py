@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -137,20 +137,37 @@ class DerReport:
 # ---------------------------------------------------------------------------
 
 
+def _content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield the 1-based number and stripped text of each non-blank line; blank lines keep their numbers."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line:
+                yield lineno, line
+
+
+def _seconds(obj: dict, key: str) -> float:
+    value = obj[key]
+    if type(value) not in (int, float):  # a bool is an int subclass, and float() would parse a string
+        raise TypeError(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def load_embeddings(path: str | Path) -> EmbeddingSequence:
     """Read an embedding sequence from a JSON-Lines file.
 
     Each line holds {"start": s, "end": s, "embedding": [...]}; an optional
     first line {"recording_id": ..., "dim": ...} names the recording and
     pins the dimension, which is otherwise the first segment's. The header's
-    recording id becomes an RTTM field, so it must be a non-empty string
-    without whitespace, and its dim an integer >= 1. Segments are re-sorted
-    by start time.
+    recording id becomes an RTTM field, so it must be a JSON string, non-empty
+    and without whitespace, and its dim an integer >= 1. Start and end must
+    be JSON numbers. Segments are re-sorted by start time.
 
     Each line is converted and checked as it is read, and the first faulty
     line raises. Within a line the checks run in this order: JSON, fields
     and types, value conversion, finiteness, end > start, non-empty
-    embedding, dimension, non-zero norm.
+    embedding, dimension, non-zero norm. Line numbers count every line of
+    the file, blank ones included.
 
     Raises:
         ParseError: malformed line (message names the line number).
@@ -160,65 +177,49 @@ def load_embeddings(path: str | Path) -> EmbeddingSequence:
     path = Path(path)
     recording_id = "rec"
     dim: int | None = None
-    first_content = True
     starts: list[float] = []
     ends: list[float] = []
     vectors: list[np.ndarray] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    for i, (lineno, line) in enumerate(_content_lines(path)):
+        try:
+            obj = json.loads(line)
             if not isinstance(obj, dict):
-                raise ParseError(f"line {lineno}: expected a JSON object")
-            header = first_content and ("recording_id" in obj or "dim" in obj)
-            first_content = False
+                raise ValueError("expected a JSON object")
             if "embedding" not in obj:
-                if header:
-                    recording_id = str(obj.get("recording_id", recording_id))
-                    try:
-                        _check_rttm_name("header 'recording_id'", recording_id)
-                    except ValueError as exc:
-                        raise ParseError(f"line {lineno}: {exc}") from exc
-                    if "dim" in obj:
-                        value = obj["dim"]
-                        if type(value) is not int or value < 1:  # bool is an int subclass
-                            raise ParseError(
-                                f"line {lineno}: header 'dim' must be an integer >= 1, got {value!r}"
-                            )
-                        dim = value
-                    continue
-                raise ParseError(f"line {lineno}: missing 'embedding' field")
-            try:
-                start, end, values = float(obj["start"]), float(obj["end"]), obj["embedding"]
-                if not isinstance(values, list):
-                    raise TypeError("embedding must be a list of numbers")
-                # Unlike np.array, fromiter rejects nested lists; a null converts to NaN.
-                vec = np.fromiter(values, dtype=float, count=len(values))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+                if i > 0 or not ("recording_id" in obj or "dim" in obj):
+                    raise ValueError("missing 'embedding' field")
+                recording_id = obj.get("recording_id", recording_id)
+                _check_rttm_name("header 'recording_id'", recording_id)
+                if "dim" in obj:
+                    dim = obj["dim"]
+                    if type(dim) is not int or dim < 1:  # bool is an int subclass
+                        raise ValueError(f"header 'dim' must be an integer >= 1, got {dim!r}")
+                continue
+            start, end, values = _seconds(obj, "start"), _seconds(obj, "end"), obj["embedding"]
+            if not isinstance(values, list):
+                raise TypeError("embedding must be a list of numbers")
+            # Unlike np.array, fromiter rejects nested lists; a null converts to NaN.
+            vec = np.fromiter(values, dtype=float, count=len(values))
             if dim is None:
                 dim = vec.size
             if not (math.isfinite(start) and math.isfinite(end) and np.isfinite(vec).all()):
-                raise ParseError(f"line {lineno}: non-finite value")
+                raise ValueError("non-finite value")
             if end <= start:
-                raise ParseError(f"line {lineno}: end ({end}) must exceed start ({start})")
+                raise ValueError(f"end ({end}) must exceed start ({start})")
             if vec.size == 0:
-                raise ParseError(f"line {lineno}: empty embedding")
+                raise ValueError("empty embedding")
             if vec.size != dim:
-                raise DimensionMismatchError(
-                    f"line {lineno}: embedding has dimension {vec.size}, expected {dim}"
-                )
+                raise DimensionMismatchError(f"embedding has dimension {vec.size}, expected {dim}")
             # axis=0 sums as EmbeddingSequence's axis=1 row norms do, so both agree bit for bit.
             if np.linalg.norm(vec, axis=0) <= 1e-12:
-                raise ParseError(f"line {lineno}: zero-norm embedding")
-            starts.append(start)
-            ends.append(end)
-            vectors.append(vec)
+                raise ValueError("zero-norm embedding")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            error = DimensionMismatchError if isinstance(exc, DimensionMismatchError) else ParseError
+            detail = f"invalid JSON ({exc.msg})" if isinstance(exc, json.JSONDecodeError) else exc
+            raise error(f"line {lineno}: {detail}") from exc
+        starts.append(start)
+        ends.append(end)
+        vectors.append(vec)
     if len(vectors) < 2:
         raise EmptyInputError(f"{path}: need at least 2 segments, found {len(vectors)}")
     order = np.argsort(starts, kind="stable")
@@ -289,34 +290,29 @@ def write_rttm(result: DiarizationResult | Iterable[RttmRecord], path: str | Pat
 
 
 def load_rttm(path: str | Path) -> list[RttmRecord]:
-    """Parse an RTTM file into records.
+    """Parse an RTTM file into records, skipping blank lines and `;;` comments.
 
     Raises:
-        ParseError: malformed line (wrong field count, type, or values).
+        ParseError: malformed line (wrong field count, type, or values); line
+            numbers count every line of the file, blanks and comments included.
     """
-    path = Path(path)
     records: list[RttmRecord] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith(";;"):
-                continue
-            fields = line.split()
+    for lineno, line in _content_lines(path):
+        if line.startswith(";;"):
+            continue
+        fields = line.split()
+        try:
             if len(fields) != 10:
-                raise ParseError(f"line {lineno}: expected 10 fields, got {len(fields)}")
+                raise ValueError(f"expected 10 fields, got {len(fields)}")
             if fields[0] != "SPEAKER":
-                raise ParseError(f"line {lineno}: expected type SPEAKER, got {fields[0]!r}")
+                raise ValueError(f"expected type SPEAKER, got {fields[0]!r}")
             try:
-                onset = float(fields[3])
-                duration = float(fields[4])
+                onset, duration = float(fields[3]), float(fields[4])
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad onset/duration") from exc
-            try:
-                records.append(
-                    RttmRecord(recording_id=fields[1], onset=onset, duration=duration, speaker=fields[7])
-                )
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+                raise ValueError("bad onset/duration") from exc
+            records.append(RttmRecord(fields[1], onset, duration, fields[7]))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
     return records
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmesc import load_rttm
 from nmesc.cli import main
@@ -238,8 +240,7 @@ def test_end_to_end_synth_cluster_score(tmp_path, capsys) -> None:
     assert der <= 0.01
 
 
-def test_cluster_repeat_runs_byte_identical(tmp_path) -> None:
-    emb, _ = _synth(tmp_path, clusters=3, per_cluster=10, dim=16)
+def _assert_repeat_clusters_byte_identical(tmp_path, emb) -> None:
     outputs = []
     for tag in ("a", "b"):
         out = tmp_path / f"{tag}.rttm"
@@ -247,6 +248,20 @@ def test_cluster_repeat_runs_byte_identical(tmp_path) -> None:
         assert main(["cluster", "--embeddings", str(emb), "--out", str(out), "--scan-out", str(csv)]) == 0
         outputs.append((out.read_bytes(), csv.read_bytes(), (tmp_path / f"{tag}.rttm.manifest.json").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_cluster_repeat_runs_byte_identical(tmp_path) -> None:
+    emb, _ = _synth(tmp_path, clusters=3, per_cluster=10, dim=16)
+    _assert_repeat_clusters_byte_identical(tmp_path, emb)
+
+
+@settings(max_examples=20, deadline=None)
+@given(speakers=st.integers(2, 4), per_speaker=st.integers(8, 20), seed=st.integers(0, 2**31 - 1))
+def test_cluster_repeat_runs_byte_identical_on_drawn_corpora(tmp_path_factory, speakers, per_speaker, seed) -> None:
+    # RTTM, scan CSV and manifest are a function of the input file alone, at a fixed BLAS thread count.
+    tmp_path = tmp_path_factory.mktemp("repeat")
+    emb, _ = _synth(tmp_path, clusters=speakers, per_cluster=per_speaker, dim=16, seed=seed)
+    _assert_repeat_clusters_byte_identical(tmp_path, emb)
 
 
 def test_module_invocation_subprocess(tmp_path) -> None:

@@ -72,9 +72,10 @@ def test_load_embeddings_rejects_bad_header_dim(tmp_path, dim) -> None:
         load_embeddings(path)
 
 
-@pytest.mark.parametrize("recording_id", ['"my rec"', '""', '"a\\tb"', '["a", "b"]'])
+@pytest.mark.parametrize("recording_id", ['"my rec"', '""', '"a\\tb"', '["a", "b"]', "null", "true", "5", '["a"]'])
 def test_load_embeddings_rejects_a_header_recording_id_rttm_cannot_hold(tmp_path, recording_id) -> None:
     # The id becomes an RTTM field, which whitespace splits: load_rttm could not read it back.
+    # It must be a JSON string: a null, a bool, a number or a list is not turned into one.
     path = tmp_path / "emb.jsonl"
     path.write_text(
         f'{{"recording_id": {recording_id}}}\n'
@@ -132,11 +133,76 @@ _GOOD_ROW = '{"start": 0.0, "end": 1.0, "embedding": [1.0, 0.0]}'
             ParseError,
             "line 2: non-finite value",
         ),
+        pytest.param(
+            ['{"start": 0.0, "end": 1.0, "embedding": [1.0]}', '{"start": 2.0, "end": 1.5, "embedding": [1.0]}'],
+            ParseError,
+            "line 2: end (1.5) must exceed start (2.0)",
+            id="end-before-start",
+        ),
+        pytest.param(
+            [_GOOD_ROW, '{"start": 1.0, "end": 2.0, "embedding": [1.0]}'],
+            DimensionMismatchError,
+            "line 2: embedding has dimension 1, expected 2",
+            id="dimension-mismatch",
+        ),
+        pytest.param(["not json"], ParseError, "line 1: invalid JSON (Expecting value)", id="not-json"),
+        pytest.param(['[1.0, 2.0]'], ParseError, "line 1: expected a JSON object", id="not-an-object"),
+        pytest.param(
+            ['{"start": 0.0, "end": 1.0}'], ParseError, "line 1: missing 'embedding' field", id="no-embedding"
+        ),
+        pytest.param(
+            [_GOOD_ROW, '{"end": 2.0, "embedding": [1.0, 0.0]}'], ParseError, "line 2: 'start'", id="no-start"
+        ),
+        pytest.param(
+            ['{"start": 0.0, "end": 1.0, "embedding": [0.0, 0.0]}'],
+            ParseError,
+            "line 1: zero-norm embedding",
+            id="zero-norm",
+        ),
+        # A JSON integer too large for a float is a malformed line, not a crash.
+        pytest.param(
+            ['{"start": 0.0, "end": 1.0, "embedding": [1' + "0" * 400 + "]}"],
+            ParseError,
+            "line 1: int too large to convert to float",
+            id="int-too-large",
+        ),
+        # Line numbers count every physical line: blank ones, and CRLF endings, shift nothing.
+        pytest.param(
+            ["", _GOOD_ROW + "\r", "  \r", "\r", _GOOD_ROW, "", '{"start": 2.0, "end": 1.5, "embedding": [1.0, 0.0]}\r'],
+            ParseError,
+            "line 7: end (1.5) must exceed start (2.0)",
+            id="after-blank-and-crlf-lines",
+        ),
+        # Times must be JSON numbers: float() would take a bool or a numeric string.
+        pytest.param(
+            [_GOOD_ROW, '{"start": false, "end": true, "embedding": [1.0, 0.0]}'],
+            ParseError,
+            "line 2: start must be a JSON number, got False",
+            id="bool-start",
+        ),
+        pytest.param(
+            [_GOOD_ROW, '{"start": 1.0, "end": true, "embedding": [1.0, 0.0]}'],
+            ParseError,
+            "line 2: end must be a JSON number, got True",
+            id="bool-end",
+        ),
+        pytest.param(
+            [_GOOD_ROW, '{"start": "1.5", "end": 2.0, "embedding": [1.0, 0.0]}'],
+            ParseError,
+            "line 2: start must be a JSON number, got '1.5'",
+            id="string-start",
+        ),
+        pytest.param(
+            [_GOOD_ROW, '{"start": 1.0, "end": null, "embedding": [1.0, 0.0]}'],
+            ParseError,
+            "line 2: end must be a JSON number, got None",
+            id="null-end",
+        ),
     ],
 )
 def test_load_embeddings_reports_first_fault(tmp_path, lines, error, message) -> None:
     path = tmp_path / "emb.jsonl"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(("\n".join(lines) + "\n").encode())
     with pytest.raises(error) as info:
         load_embeddings(path)
     assert type(info.value) is error
@@ -186,43 +252,6 @@ def test_write_load_embeddings_round_trip(tmp_path_factory, data, header, record
     assert np.array_equal(back.starts, emb.starts)
     assert np.array_equal(back.ends, emb.ends)
     assert np.array_equal(back.vectors, emb.vectors)
-
-
-def test_load_embeddings_end_before_start_names_line(tmp_path) -> None:
-    path = tmp_path / "emb.jsonl"
-    path.write_text(
-        '{"start": 0.0, "end": 1.0, "embedding": [1.0]}\n'
-        '{"start": 2.0, "end": 1.5, "embedding": [1.0]}\n'
-    )
-    with pytest.raises(ParseError, match="line 2"):
-        load_embeddings(path)
-
-
-def test_load_embeddings_dimension_mismatch(tmp_path) -> None:
-    path = tmp_path / "emb.jsonl"
-    path.write_text(
-        '{"start": 0.0, "end": 1.0, "embedding": [1.0, 0.0]}\n'
-        '{"start": 1.0, "end": 2.0, "embedding": [1.0]}\n'
-    )
-    with pytest.raises(DimensionMismatchError, match="line 2"):
-        load_embeddings(path)
-
-
-def test_load_embeddings_rejects_garbage(tmp_path) -> None:
-    path = tmp_path / "emb.jsonl"
-    path.write_text("not json\n")
-    with pytest.raises(ParseError, match="line 1"):
-        load_embeddings(path)
-    path.write_text('{"start": 0.0, "end": 1.0}\n')
-    with pytest.raises(ParseError, match="embedding"):
-        load_embeddings(path)
-    path.write_text('{"start": 0.0, "end": 1.0, "embedding": [0.0, 0.0]}\n')
-    with pytest.raises(ParseError, match="zero-norm"):
-        load_embeddings(path)
-    # A JSON integer too large for a float is a malformed line, not a crash.
-    path.write_text('{"start": 0.0, "end": 1.0, "embedding": [1' + "0" * 400 + "]}\n")
-    with pytest.raises(ParseError, match="line 1: int too large"):
-        load_embeddings(path)
 
 
 def test_load_embeddings_empty_inputs(tmp_path) -> None:
@@ -348,24 +377,56 @@ def test_write_load_rttm_round_trips_on_ms_grid(tmp_path_factory, records) -> No
             assert b.onset == r.onset
 
 
-def test_load_rttm_rejects_malformed(tmp_path) -> None:
+_RTTM_ROW = "SPEAKER rec 1 0.000 1.000 <NA> <NA> spk0 <NA> <NA>"
+
+
+@pytest.mark.parametrize(
+    ("lines", "message"),
+    [
+        pytest.param(
+            ["LEXEME rec 1 0.000 1.000 <NA> <NA> spk0 <NA> <NA>"],
+            "line 1: expected type SPEAKER, got 'LEXEME'",
+            id="not-speaker",
+        ),
+        pytest.param(["SPEAKER rec 1 0.000 1.000 spk0"], "line 1: expected 10 fields, got 6", id="six-fields"),
+        pytest.param(
+            ["SPEAKER rec 1 0.000 -1.000 <NA> <NA> spk0 <NA> <NA>"],
+            "line 1: duration must be positive, got -1.0",
+            id="negative-duration",
+        ),
+        pytest.param(
+            ["SPEAKER rec 1 zero 1.000 <NA> <NA> spk0 <NA> <NA>"], "line 1: bad onset/duration", id="word-onset"
+        ),
+        pytest.param(
+            ["SPEAKER rec 1 nan 1.000 <NA> <NA> spk0 <NA> <NA>"],
+            "line 1: onset and duration must be finite, got nan and 1.0",
+            id="nan-onset",
+        ),
+        pytest.param(
+            ["SPEAKER rec 1 0.000 inf <NA> <NA> spk0 <NA> <NA>"],
+            "line 1: onset and duration must be finite, got 0.0 and inf",
+            id="inf-duration",
+        ),
+        pytest.param(
+            ["SPEAKER rec 1 inf 1.000 <NA> <NA> spk0 <NA> <NA>"],
+            "line 1: onset and duration must be finite, got inf and 1.0",
+            id="inf-onset",
+        ),
+        # Line numbers count every physical line: comments, blank lines and CRLF endings shift nothing.
+        pytest.param(
+            [";; comment\r", "\r", _RTTM_ROW + "\r", "", "  ;; indented comment", _RTTM_ROW, "SPEAKER rec 1 0.000\r"],
+            "line 7: expected 10 fields, got 4",
+            id="after-comment-blank-and-crlf-lines",
+        ),
+    ],
+)
+def test_load_rttm_reports_first_fault(tmp_path, lines, message) -> None:
     path = tmp_path / "bad.rttm"
-    path.write_text("LEXEME rec 1 0.000 1.000 <NA> <NA> spk0 <NA> <NA>\n")
-    with pytest.raises(ParseError, match="SPEAKER"):
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+    with pytest.raises(ParseError) as info:
         load_rttm(path)
-    path.write_text("SPEAKER rec 1 0.000 1.000 spk0\n")
-    with pytest.raises(ParseError, match="10 fields"):
-        load_rttm(path)
-    path.write_text("SPEAKER rec 1 0.000 -1.000 <NA> <NA> spk0 <NA> <NA>\n")
-    with pytest.raises(ParseError, match="line 1"):
-        load_rttm(path)
-    path.write_text("SPEAKER rec 1 zero 1.000 <NA> <NA> spk0 <NA> <NA>\n")
-    with pytest.raises(ParseError, match="onset"):
-        load_rttm(path)
-    for onset, duration in (("nan", "1.000"), ("0.000", "inf"), ("inf", "1.000")):
-        path.write_text(f"SPEAKER rec 1 {onset} {duration} <NA> <NA> spk0 <NA> <NA>\n")
-        with pytest.raises(ParseError, match="line 1: onset and duration must be finite"):
-            load_rttm(path)
+    assert type(info.value) is ParseError
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

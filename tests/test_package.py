@@ -1,6 +1,10 @@
-"""The package's public surface: every module's exports, each once, as the module's own objects."""
+"""The package's public surface: every module's exports, each once, as the module's own objects,
+and the README's library quickstart, run as written."""
 
 from __future__ import annotations
+
+import re
+from pathlib import Path
 
 import nmesc
 from nmesc import affinity, diarization, nme, numerics, testbench
@@ -24,3 +28,12 @@ def test_star_import_binds_exactly_all() -> None:
     exec("from nmesc import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(nmesc.__all__)
+
+
+def test_readme_quickstart_runs_as_written(capsys) -> None:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.DOTALL)
+    exec(block, {})
+    thresholds, accuracy = capsys.readouterr().out.splitlines()
+    _, k_hat = thresholds.split()
+    assert (k_hat, accuracy) == ("4", "1.0")
