@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _freeze
+from .numerics import _check_timeline, _freeze, _zero_norm
 
 __all__ = [
     "AffinityKind",
@@ -54,7 +54,8 @@ class EmbeddingSequence:
     """N time-ordered speech segments with one embedding vector each.
 
     Invariants enforced on construction: N >= 2, one common dimension D >= 1,
-    end > start per segment, segments sorted by start, no zero-norm vector.
+    finite times with end > start per segment, segments sorted by start,
+    finite vectors, none of zero norm.
     """
 
     starts: np.ndarray
@@ -72,16 +73,14 @@ class EmbeddingSequence:
             raise ValueError("starts, ends and vectors must agree in length")
         if vectors.shape[1] < 1:
             raise ValueError("embedding dimension must be >= 1")
-        if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(ends)) and np.all(np.isfinite(vectors))):
-            raise ValueError("segments contain non-finite values")
-        if np.any(ends <= starts):
-            bad = int(np.argmax(ends <= starts))
-            raise ValueError(f"segment {bad}: end ({ends[bad]}) must exceed start ({starts[bad]})")
+        _check_timeline(starts, ends)
+        if not np.isfinite(vectors).all():
+            raise ValueError("embeddings contain non-finite values")
         if np.any(np.diff(starts) < 0):
             raise ValueError("segments must be sorted by start time")
-        norms = np.linalg.norm(vectors, axis=1)
-        if np.any(norms <= 1e-12):
-            bad = int(np.argmax(norms <= 1e-12))
+        zero = _zero_norm(vectors)
+        if zero.any():
+            bad = int(np.argmax(zero))
             raise ZeroNormError(f"segment {bad} has a zero-norm embedding", index=bad)
 
     @property

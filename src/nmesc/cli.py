@@ -11,6 +11,7 @@ can move with the number of threads the BLAS uses.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -31,11 +32,6 @@ from .testbench import SynthSpec, generate
 __all__ = ["scan_to_csv", "main", "entrypoint"]
 
 
-def _sha256(path: str | Path) -> str:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return f"sha256:{digest}"
-
-
 def _write_manifest(out: str | Path, command: str, config: dict, inputs: dict) -> None:
     manifest = dict(command=command, config=config, inputs=inputs, tool="nmesc", version=__version__)
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -44,14 +40,11 @@ def _write_manifest(out: str | Path, command: str, config: dict, inputs: dict) -
 
 def scan_to_csv(scan: NmeScan) -> str:
     """Render a scan as CSV, one row per evaluated p, with p_hat/k_hat footer comments."""
-    lines = ["p,g_p,r_p,k_at_p"]
-    for e in scan.entries:
-        lines.append(f"{e.p},{e.gp!r},{e.rp!r},{e.k_at_p}")
-    lines.append(f"# p_hat={scan.p_hat}")
-    lines.append(f"# k_hat={scan.k_hat}")
-    return "\n".join(lines) + "\n"
+    rows = [f"{e.p},{e.gp!r},{e.rp!r},{e.k_at_p}" for e in scan.entries]
+    return "\n".join(["p,g_p,r_p,k_at_p", *rows, f"# p_hat={scan.p_hat}", f"# k_hat={scan.k_hat}"]) + "\n"
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmesc",
@@ -92,15 +85,12 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         parser.error("--method njw-sc requires --sigma")
     if args.method == "njw-sc" and args.scan_out is not None:
         parser.error("--scan-out is only produced by --method nme-sc")
-    if args.fixed_k is not None and not 1 <= args.fixed_k <= args.max_speakers:
-        parser.error(f"--fixed-k must be in [1, {args.max_speakers}]")
+    shared = dict(max_speakers=args.max_speakers, fixed_k=args.fixed_k, seed=args.seed)
     try:
         if args.method == "nme-sc":
-            cfg = NmeConfig(
-                p_max=args.p_max, max_speakers=args.max_speakers, fixed_k=args.fixed_k, seed=args.seed
-            )
+            cfg = NmeConfig(p_max=args.p_max, **shared)
         else:
-            cfg = NjwConfig(sigma=args.sigma, k=args.fixed_k, max_speakers=args.max_speakers, seed=args.seed)
+            cfg = NjwConfig(sigma=args.sigma, **shared)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -113,16 +103,15 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         "method": args.method,
         "epsilon": None if scan is None else cfg.epsilon,
         "p_max": None if scan is None else scan.p_max,
-        "max_speakers": cfg.max_speakers,
-        "fixed_k": args.fixed_k,
-        "seed": cfg.seed,
         "sigma": cfg.sigma if scan is None else None,
+        **shared,
     }
 
     write_rttm(result, args.out)
     if args.scan_out is not None:
         Path(args.scan_out).write_text(scan_to_csv(scan), encoding="utf-8")
-    _write_manifest(args.out, "cluster", config, {args.embeddings: _sha256(args.embeddings)})
+    digest = hashlib.sha256(Path(args.embeddings).read_bytes()).hexdigest()
+    _write_manifest(args.out, "cluster", config, {args.embeddings: f"sha256:{digest}"})
     print(f"wrote {args.out} ({result.num_speakers} speakers, {result.n} segments)")
     return 0
 
@@ -133,8 +122,7 @@ def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     ref = load_rttm(args.ref)
     hyp = load_rttm(args.hyp)
     aggregate, per_recording = score_recordings(ref, hyp, collar=args.collar, score_overlap=args.overlap)
-    header = f"{'recording':<16}{'DER':>8}{'MS':>8}{'FA':>8}{'SE':>8}{'scored(s)':>12}"
-    print(header)
+    print(f"{'recording':<16}{'DER':>8}{'MS':>8}{'FA':>8}{'SE':>8}{'scored(s)':>12}")
     rows = [*per_recording.items(), *([("OVERALL", aggregate)] if len(per_recording) > 1 else [])]
     for rec_id, rep in rows:
         print(
@@ -161,10 +149,7 @@ def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(str(exc))
     emb, truth = generate(spec)
     write_embeddings(emb, args.out, header=False)
-    truth_result = DiarizationResult(
-        recording_id=emb.recording_id, starts=emb.starts, ends=emb.ends, labels=truth
-    )
-    write_rttm(truth_result, args.truth_out)
+    write_rttm(DiarizationResult(emb.recording_id, emb.starts, emb.ends, truth), args.truth_out)
     config = {
         "clusters": spec.n_clusters,
         "per_cluster": spec.segments_per_cluster,

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .affinity import EmbeddingSequence
-from .numerics import _freeze
+from .numerics import _check_timeline, _freeze, _zero_norm
 
 __all__ = [
     "DiarizationResult",
@@ -71,13 +71,7 @@ class DiarizationResult:
         _freeze(self, int, labels=self.labels)
         if not (self.starts.shape == self.ends.shape == self.labels.shape) or self.starts.ndim != 1:
             raise ValueError("starts, ends and labels must be 1-d arrays of equal length")
-        finite = np.isfinite(self.starts) & np.isfinite(self.ends)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            start, end = self.starts[i], self.ends[i]
-            raise ValueError(f"segment {i}: start and end must be finite, got {start} and {end}")
-        if np.any(self.ends <= self.starts):
-            raise ValueError("every segment must have end > start")
+        _check_timeline(self.starts, self.ends)
         distinct = np.unique(self.labels)
         if distinct.size and not np.array_equal(distinct, np.arange(distinct.size)):
             raise ValueError("labels must form a contiguous range [0, k)")
@@ -138,17 +132,29 @@ class DerReport:
 
 
 def _content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield the 1-based number and stripped text of each non-blank line; blank lines keep their numbers."""
-    with Path(path).open("r", encoding="utf-8") as fh:
+    """Yield the 1-based number and stripped text of each non-blank line; blank lines keep their numbers.
+
+    A byte that is not UTF-8 raises ParseError naming its line.
+    """
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")  # surrogateescape decoded each bad byte to a lone surrogate
+                except UnicodeEncodeError as exc:
+                    byte = ord(raw[exc.start]) - 0xDC00
+                    raise ParseError(f"line {lineno}: byte 0x{byte:02x} is not UTF-8") from None
             line = raw.strip()
             if line:
                 yield lineno, line
 
 
+_JSON_NUMBER_TYPES = frozenset({int, float})  # what json.loads makes of a number; a bool is an int subclass
+
+
 def _seconds(obj: dict, key: str) -> float:
     value = obj[key]
-    if type(value) not in (int, float):  # a bool is an int subclass, and float() would parse a string
+    if type(value) not in _JSON_NUMBER_TYPES:  # float() would also take a bool or a numeric string
         raise TypeError(f"{key} must be a JSON number, got {value!r}")
     return float(value)
 
@@ -160,14 +166,14 @@ def load_embeddings(path: str | Path) -> EmbeddingSequence:
     first line {"recording_id": ..., "dim": ...} names the recording and
     pins the dimension, which is otherwise the first segment's. The header's
     recording id becomes an RTTM field, so it must be a JSON string, non-empty
-    and without whitespace, and its dim an integer >= 1. Start and end must
-    be JSON numbers. Segments are re-sorted by start time.
+    and without whitespace, and its dim an integer >= 1. Start, end and every
+    embedding element must be JSON numbers. Segments are re-sorted by start time.
 
     Each line is converted and checked as it is read, and the first faulty
     line raises. Within a line the checks run in this order: JSON, fields
     and types, value conversion, finiteness, end > start, non-empty
     embedding, dimension, non-zero norm. Line numbers count every line of
-    the file, blank ones included.
+    the file, blank ones included. A byte that is not UTF-8 faults its line.
 
     Raises:
         ParseError: malformed line (message names the line number).
@@ -196,9 +202,8 @@ def load_embeddings(path: str | Path) -> EmbeddingSequence:
                         raise ValueError(f"header 'dim' must be an integer >= 1, got {dim!r}")
                 continue
             start, end, values = _seconds(obj, "start"), _seconds(obj, "end"), obj["embedding"]
-            if not isinstance(values, list):
+            if not (isinstance(values, list) and set(map(type, values)) <= _JSON_NUMBER_TYPES):
                 raise TypeError("embedding must be a list of numbers")
-            # Unlike np.array, fromiter rejects nested lists; a null converts to NaN.
             vec = np.fromiter(values, dtype=float, count=len(values))
             if dim is None:
                 dim = vec.size
@@ -210,8 +215,7 @@ def load_embeddings(path: str | Path) -> EmbeddingSequence:
                 raise ValueError("empty embedding")
             if vec.size != dim:
                 raise DimensionMismatchError(f"embedding has dimension {vec.size}, expected {dim}")
-            # axis=0 sums as EmbeddingSequence's axis=1 row norms do, so both agree bit for bit.
-            if np.linalg.norm(vec, axis=0) <= 1e-12:
+            if _zero_norm(vec):
                 raise ValueError("zero-norm embedding")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             error = DimensionMismatchError if isinstance(exc, DimensionMismatchError) else ParseError
@@ -293,8 +297,9 @@ def load_rttm(path: str | Path) -> list[RttmRecord]:
     """Parse an RTTM file into records, skipping blank lines and `;;` comments.
 
     Raises:
-        ParseError: malformed line (wrong field count, type, or values); line
-            numbers count every line of the file, blanks and comments included.
+        ParseError: malformed line (wrong field count, type or values, or a byte
+            that is not UTF-8); line numbers count every line of the file,
+            blanks and comments included.
     """
     records: list[RttmRecord] = []
     for lineno, line in _content_lines(path):

@@ -64,6 +64,16 @@ class NotEvaluatedError(ValueError):
     """The scan holds no entry for this p: it was skipped or lies outside 1..p_last."""
 
 
+def _check_shared_settings(max_speakers: int, fixed_k: int | None, seed: int) -> None:
+    """The settings rule NmeConfig and NjwConfig share: the speaker cap, the known count and the seed."""
+    if max_speakers < 1:
+        raise ValueError("max_speakers must be >= 1")
+    if fixed_k is not None and not 1 <= fixed_k <= max_speakers:
+        raise ValueError(f"fixed_k must be in [1, {max_speakers}]")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 @dataclass(frozen=True)
 class NmeConfig:
     """Auto-tuner settings; the defaults require no tuning on any dataset.
@@ -83,34 +93,24 @@ class NmeConfig:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.max_speakers < 1:
-            raise ValueError("max_speakers must be >= 1")
         if self.p_max is not None and self.p_max < 1:
             raise ValueError("p_max must be >= 1 when set")
-        if self.fixed_k is not None and not 1 <= self.fixed_k <= self.max_speakers:
-            raise ValueError(f"fixed_k must be in [1, {self.max_speakers}]")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_shared_settings(self.max_speakers, self.fixed_k, self.seed)
 
 
 @dataclass(frozen=True)
 class NjwConfig:
-    """Settings for the kernel-based NJW baseline; sigma has no default."""
+    """Settings for the kernel-based NJW baseline; sigma has no default, the rest act as in NmeConfig."""
 
     sigma: float
-    k: int | None = None
+    fixed_k: int | None = None
     max_speakers: int = 8
     seed: int = 42
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError("sigma must be a positive finite number")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k override must be >= 1")
-        if self.max_speakers < 1:
-            raise ValueError("max_speakers must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_shared_settings(self.max_speakers, self.fixed_k, self.seed)
 
 
 @dataclass(frozen=True)
@@ -524,11 +524,13 @@ def nme_sc(emb: EmbeddingSequence, cfg: NmeConfig = NmeConfig()) -> tuple[Diariz
     scan = nme_scan(a, cfg)
     probe = nme_at(a, scan.p_hat, cfg)
     points = spectral_embedding(probe.eigensystem, scan.k_hat)
-    km = kmeans(points, scan.k_hat, KMeansConfig(seed=cfg.seed))
-    result = DiarizationResult(
-        recording_id=emb.recording_id, starts=emb.starts, ends=emb.ends, labels=km.labels
-    )
-    return result, scan
+    return _cluster_rows(emb, points, scan.k_hat, cfg.seed), scan
+
+
+def _cluster_rows(emb: EmbeddingSequence, points: np.ndarray, k: int, seed: int) -> DiarizationResult:
+    """k-means on the spectral rows, one per segment of emb, as a labeled timeline."""
+    km = kmeans(points, k, KMeansConfig(seed=seed))
+    return DiarizationResult(emb.recording_id, emb.starts, emb.ends, km.labels)
 
 
 def _njw_embedding(es: EigenSystem, k: int) -> np.ndarray:
@@ -542,19 +544,15 @@ def njw_sc(emb: EmbeddingSequence, cfg: NjwConfig) -> DiarizationResult:
     """Kernel-affinity NJW spectral clustering baseline.
 
     Estimates k from the largest gap of the normalized adjacency's
-    descending spectrum (window capped at max_speakers) unless cfg.k is
-    set, then clusters the row-normalized top-k eigenvector matrix.
+    descending spectrum (window capped at max_speakers) unless cfg.fixed_k
+    is set, then clusters the row-normalized top-k eigenvector matrix.
     """
     if emb.n < 4:
         raise InputTooSmallError(f"need at least 4 segments, got {emb.n}")
     es = eigh(normalized_laplacian(kernel_affinity(emb, cfg.sigma)))
-    if cfg.k is not None:
-        k = cfg.k  # kmeans raises InvalidKError for k > N
+    if cfg.fixed_k is not None:
+        k = cfg.fixed_k  # kmeans raises InvalidKError for k > N
     else:
         # Gaps of the negated descending values are the descending gaps exactly: (-b) - (-a) = a - b.
         k = 1 + int(np.argmax(eigengap_vector(-es.values[::-1], cfg.max_speakers)))
-    points = _njw_embedding(es, k)
-    km = kmeans(points, k, KMeansConfig(seed=cfg.seed))
-    return DiarizationResult(
-        recording_id=emb.recording_id, starts=emb.starts, ends=emb.ends, labels=km.labels
-    )
+    return _cluster_rows(emb, _njw_embedding(es, k), k, cfg.seed)

@@ -44,6 +44,23 @@ def _freeze(record, dtype=float, **arrays) -> None:
         object.__setattr__(record, name, copy)
 
 
+def _check_timeline(starts: np.ndarray, ends: np.ndarray) -> None:
+    """Raise ValueError naming the first segment with a non-finite time, else the first with end <= start."""
+    finite = np.isfinite(starts) & np.isfinite(ends)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"segment {i}: start and end must be finite, got {starts[i]} and {ends[i]}")
+    backwards = ends <= starts
+    if backwards.any():
+        i = int(np.argmax(backwards))
+        raise ValueError(f"segment {i}: end ({ends[i]}) must exceed start ({starts[i]})")
+
+
+def _zero_norm(vectors: np.ndarray) -> np.ndarray:
+    """Whether each vector along the last axis has (numerically) zero norm."""
+    return np.linalg.norm(vectors, axis=-1) <= 1e-12
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
@@ -69,7 +86,8 @@ class EigenSystem:
         return self.values.shape[0]
 
 
-def _validated_symmetric(m: np.ndarray) -> np.ndarray:
+def _solve_symmetric(solver, m: np.ndarray):
+    """Check m as eigh documents, then return solver(m); a LAPACK failure becomes NoConvergenceError."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -80,7 +98,10 @@ def _validated_symmetric(m: np.ndarray) -> np.ndarray:
     asym = float((m - m.T).max())  # m - m.T is exactly antisymmetric: its max is its max |entry|
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    return m
+    try:
+        return solver(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
 
 
 def eigh(m: np.ndarray) -> EigenSystem:
@@ -97,21 +118,12 @@ def eigh(m: np.ndarray) -> EigenSystem:
         NoConvergenceError: the underlying iteration failed to converge.
         ValueError: not square, or asymmetry beyond tolerance.
     """
-    m = _validated_symmetric(m)
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NoConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    return EigenSystem(values=values, vectors=vectors)
+    return EigenSystem(*_solve_symmetric(np.linalg.eigh, m))
 
 
 def eigvalsh(m: np.ndarray) -> np.ndarray:
     """Eigenvalues only, ascending. Same preconditions as ``eigh``."""
-    m = _validated_symmetric(m)
-    try:
-        return np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NoConvergenceError(f"eigenvalue computation did not converge: {exc}") from exc
+    return _solve_symmetric(np.linalg.eigvalsh, m)
 
 
 @dataclass(frozen=True)

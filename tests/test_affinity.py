@@ -287,5 +287,7 @@ def test_embedding_sequence_rejects_bad_segments() -> None:
             vectors=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         )
     assert err.value.index == 1
+    with pytest.raises(ValueError, match="^embeddings contain non-finite values$"):
+        EmbeddingSequence(starts=np.array([0.0, 1.0]), ends=np.array([1.0, 2.0]), vectors=[[1.0], [np.inf]])
     with pytest.raises(ValueError):
         EmbeddingSequence(starts=np.array([0.0]), ends=np.array([1.0]), vectors=np.ones((1, 3)))

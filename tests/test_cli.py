@@ -140,6 +140,8 @@ def test_cluster_usage_errors_exit_two(tmp_path) -> None:
         ["cluster", "--embeddings", missing, *out, "--max-speakers", "0"],
         ["cluster", "--embeddings", missing, *out, "--p-max", "0"],
         ["cluster", "--embeddings", missing, *out, "--seed", "-1"],
+        ["cluster", "--embeddings", missing, *out, "--fixed-k", "9"],
+        ["cluster", "--embeddings", missing, *out, "--method", "njw-sc", "--sigma", "0.5", "--fixed-k", "9"],
         ["cluster", "--embeddings", missing, *out, "--method", "njw-sc", "--sigma", "-1"],
         ["cluster", "--embeddings", missing, *out, "--method", "njw-sc", "--sigma", "0.5", "--seed", "-1"],
         ["score", "--ref", missing, "--hyp", missing, "--collar", "-1"],

@@ -123,15 +123,30 @@ _GOOD_ROW = '{"start": 0.0, "end": 1.0, "embedding": [1.0, 0.0]}'
             ParseError,
             "line 2: non-finite value",
         ),
-        (
+        # Embedding elements must be JSON numbers, checked with the other types before end <= start.
+        pytest.param(
             [_GOOD_ROW, '{"start": 2.0, "end": 1.0, "embedding": [1.0, "a"]}'],
             ParseError,
-            "line 2: could not convert string to float: 'a'",
+            "line 2: embedding must be a list of numbers",
+            id="string-element",
         ),
-        (
+        pytest.param(
             [_GOOD_ROW, '{"start": 1.0, "end": 2.0, "embedding": [1.0, null]}'],
             ParseError,
-            "line 2: non-finite value",
+            "line 2: embedding must be a list of numbers",
+            id="null-element",
+        ),
+        pytest.param(
+            [_GOOD_ROW, '{"start": 1.0, "end": 2.0, "embedding": [true, 2.5]}'],
+            ParseError,
+            "line 2: embedding must be a list of numbers",
+            id="bool-element",
+        ),
+        pytest.param(
+            [_GOOD_ROW, '{"start": 1.0, "end": 2.0, "embedding": [[1.0], 0.0]}'],
+            ParseError,
+            "line 2: embedding must be a list of numbers",
+            id="nested-element",
         ),
         pytest.param(
             ['{"start": 0.0, "end": 1.0, "embedding": [1.0]}', '{"start": 2.0, "end": 1.5, "embedding": [1.0]}'],
@@ -198,11 +213,18 @@ _GOOD_ROW = '{"start": 0.0, "end": 1.0, "embedding": [1.0, 0.0]}'
             "line 2: end must be a JSON number, got None",
             id="null-end",
         ),
+        # A byte that is not UTF-8 ("\udcff" writes the byte 0xff) faults the physical line it is on.
+        pytest.param(
+            [_GOOD_ROW, "", '{"start": 1.0, "end": 2.0, "embedding": [1.0, 0.0], "note": "\udcff"}\r', "not json"],
+            ParseError,
+            "line 3: byte 0xff is not UTF-8",
+            id="not-utf8",
+        ),
     ],
 )
 def test_load_embeddings_reports_first_fault(tmp_path, lines, error, message) -> None:
     path = tmp_path / "emb.jsonl"
-    path.write_bytes(("\n".join(lines) + "\n").encode())
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     with pytest.raises(error) as info:
         load_embeddings(path)
     assert type(info.value) is error
@@ -418,11 +440,17 @@ _RTTM_ROW = "SPEAKER rec 1 0.000 1.000 <NA> <NA> spk0 <NA> <NA>"
             "line 7: expected 10 fields, got 4",
             id="after-comment-blank-and-crlf-lines",
         ),
+        # A Latin-1 "é" (the byte 0xe9) is not UTF-8, even inside a comment; valid UTF-8 text is read.
+        pytest.param(
+            [";; café", _RTTM_ROW + "\r", ";; caf\udce9", "not an rttm line"],
+            "line 3: byte 0xe9 is not UTF-8",
+            id="not-utf8",
+        ),
     ],
 )
 def test_load_rttm_reports_first_fault(tmp_path, lines, message) -> None:
     path = tmp_path / "bad.rttm"
-    path.write_bytes(("\n".join(lines) + "\n").encode())
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     with pytest.raises(ParseError) as info:
         load_rttm(path)
     assert type(info.value) is ParseError
@@ -763,3 +791,27 @@ def test_diarization_result_rejects_label_gaps() -> None:
 def test_diarization_result_rejects_a_non_finite_time_naming_its_segment(starts, ends, segment, shown) -> None:
     with pytest.raises(ValueError, match=f"^segment {segment}: start and end must be finite, got {shown}$"):
         DiarizationResult("rec", starts, ends, [0] * len(starts))
+
+
+def _embedding_sequence(starts, ends) -> EmbeddingSequence:
+    return EmbeddingSequence(starts, ends, np.ones((len(starts), 2)))
+
+
+def _diarization_result(starts, ends) -> DiarizationResult:
+    return DiarizationResult("rec", starts, ends, [0] * len(starts))
+
+
+@pytest.mark.parametrize("record", [_embedding_sequence, _diarization_result], ids=["embeddings", "result"])
+@pytest.mark.parametrize(
+    ("starts", "ends", "message"),
+    [
+        ([0.0, 1.0, 2.0], [1.0, 1.0, 3.0], "segment 1: end (1.0) must exceed start (1.0)"),
+        ([0.0, 1.0, 2.0], [1.0, 2.0, 1.5], "segment 2: end (1.5) must exceed start (2.0)"),
+        ([0.0, 2.0, 3.0], [1.0, 1.0, np.nan], "segment 2: start and end must be finite, got 3.0 and nan"),
+    ],
+    ids=["end-equals-start", "end-before-start", "non-finite-before-backwards"],
+)
+def test_segment_records_name_the_segment_of_a_bad_timeline(record, starts, ends, message) -> None:
+    with pytest.raises(ValueError) as info:
+        record(np.array(starts), np.array(ends))
+    assert str(info.value) == message

@@ -790,11 +790,33 @@ def test_nme_config_validation() -> None:
     with pytest.raises(ValueError):
         NmeConfig(epsilon=0.0)
     with pytest.raises(ValueError):
-        NmeConfig(fixed_k=9)
-    with pytest.raises(ValueError):
         NmeConfig(p_max=0)
-    with pytest.raises(ValueError, match="seed"):
-        NmeConfig(seed=-1)
+
+
+def _njw_config(**settings) -> NjwConfig:
+    return NjwConfig(sigma=1.0, **settings)
+
+
+@pytest.mark.parametrize("config", [NmeConfig, _njw_config], ids=["nme", "njw"])
+@pytest.mark.parametrize(
+    ("settings", "message"),
+    [
+        ({"max_speakers": 0}, "max_speakers must be >= 1"),
+        ({"fixed_k": 0}, "fixed_k must be in [1, 8]"),
+        ({"fixed_k": 9}, "fixed_k must be in [1, 8]"),
+        ({"max_speakers": 3, "fixed_k": 4}, "fixed_k must be in [1, 3]"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"max_speakers": 1, "fixed_k": 1, "seed": 0}, None),
+        ({"fixed_k": 8}, None),
+    ],
+)
+def test_configs_share_the_speaker_count_and_seed_rule(config, settings, message) -> None:
+    if message is None:
+        assert config(**settings)
+        return
+    with pytest.raises(ValueError) as info:
+        config(**settings)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -887,10 +909,10 @@ def test_njw_sc_two_ideal_pairs(two_ideal_pairs) -> None:
 
 
 def test_njw_sc_k_override(two_ideal_pairs) -> None:
-    result = njw_sc(two_ideal_pairs, NjwConfig(sigma=1.0, k=3))
+    result = njw_sc(two_ideal_pairs, NjwConfig(sigma=1.0, fixed_k=3))
     assert result.num_speakers == 3
     with pytest.raises(InvalidKError, match=r"^k=5 outside \[1, 4\]$"):
-        njw_sc(two_ideal_pairs, NjwConfig(sigma=1.0, k=two_ideal_pairs.n + 1))
+        njw_sc(two_ideal_pairs, NjwConfig(sigma=1.0, fixed_k=two_ideal_pairs.n + 1))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -913,12 +935,9 @@ def test_njw_embedding_rows_unit_norm(two_ideal_pairs) -> None:
 
 
 def test_njw_config_validation() -> None:
-    with pytest.raises(ValueError):
-        NjwConfig(sigma=0.0)
-    with pytest.raises(ValueError):
-        NjwConfig(sigma=1.0, k=0)
-    with pytest.raises(ValueError, match="seed"):
-        NjwConfig(sigma=1.0, seed=-1)
+    for sigma in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^sigma must be a positive finite number$"):
+            NjwConfig(sigma=sigma)
 
 
 def test_njw_sc_tiny_sigma_starves_the_graph() -> None:

@@ -12,6 +12,7 @@ from nmesc import (
     InvalidKError,
     KMeansConfig,
     KMeansResult,
+    NoConvergenceError,
     NonFiniteError,
     eigh,
     kmeans,
@@ -152,6 +153,20 @@ def test_solver_input_checks_at_their_tolerance(solver) -> None:
                 solve(m)
         else:
             solve(m)
+
+
+@pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
+def test_solver_turns_a_lapack_failure_into_no_convergence(monkeypatch, solver) -> None:
+    import nmesc
+
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(NoConvergenceError) as info:
+        getattr(nmesc, solver)(np.eye(3))
+    assert str(info.value) == "symmetric eigensolver did not converge: Eigenvalues did not converge"
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_eigvalsh_matches_eigh_and_validates() -> None:
