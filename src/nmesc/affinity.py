@@ -2,12 +2,12 @@
 
 Builds the raw-cosine and Gaussian-kernel similarity matrices, and applies
 the row-wise top-p binarization plus symmetrization that turn a noisy
-similarity matrix into an undirected graph adjacency.
+similarity matrix into an undirected graph adjacency. Every matrix is a
+plain N x N float array.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,13 +15,10 @@ import numpy as np
 from .numerics import _check_timeline, _freeze, _zero_norm
 
 __all__ = [
-    "AffinityKind",
-    "AffinityMatrix",
     "EmbeddingSequence",
     "ZeroNormError",
     "InvalidSigmaError",
     "InvalidPError",
-    "WrongStateError",
     "cosine_affinity",
     "kernel_affinity",
     "binarize",
@@ -43,10 +40,6 @@ class InvalidSigmaError(ValueError):
 
 class InvalidPError(ValueError):
     """Binarization threshold p outside [1, n]."""
-
-
-class WrongStateError(ValueError):
-    """Operation applied to an affinity matrix in the wrong state."""
 
 
 @dataclass(frozen=True)
@@ -92,39 +85,29 @@ class EmbeddingSequence:
         return self.vectors.shape[1]
 
 
-class AffinityKind(enum.Enum):
-    RAW_COSINE = "raw-cosine"
-    KERNELIZED = "kernelized"
-    BINARIZED = "binarized"
-    SYMMETRIZED = "symmetrized"
+def _square(a) -> np.ndarray:
+    """a as a float array; raise ValueError unless it is a square matrix."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"affinity matrix must be square, got shape {a.shape}")
+    return a
 
 
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """n x n similarity matrix tagged with its processing state."""
-
-    data: np.ndarray
-    kind: AffinityKind
-
-    def __post_init__(self):
-        _freeze(self, data=self.data)
-        if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
-            raise ValueError(f"affinity matrix must be square, got shape {self.data.shape}")
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
+def _check_sigma(sigma: float) -> None:
+    """The kernel scale rule kernel_affinity and NjwConfig share: a positive finite number."""
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise InvalidSigmaError(f"sigma must be a positive finite number, got {sigma}")
 
 
-def cosine_affinity(emb: EmbeddingSequence) -> AffinityMatrix:
+def cosine_affinity(emb: EmbeddingSequence) -> np.ndarray:
     """Pairwise raw cosine similarities; diagonal pinned to exactly 1."""
     unit = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
-    data = np.clip(unit @ unit.T, -1.0, 1.0)
-    np.fill_diagonal(data, 1.0)
-    return AffinityMatrix(data=data, kind=AffinityKind.RAW_COSINE)
+    a = np.clip(unit @ unit.T, -1.0, 1.0)
+    np.fill_diagonal(a, 1.0)
+    return a
 
 
-def kernel_affinity(emb: EmbeddingSequence, sigma: float) -> AffinityMatrix:
+def kernel_affinity(emb: EmbeddingSequence, sigma: float) -> np.ndarray:
     """Gaussian-kernel affinity with a zero diagonal.
 
     The distance fed to the kernel is the chordal distance between
@@ -134,13 +117,11 @@ def kernel_affinity(emb: EmbeddingSequence, sigma: float) -> AffinityMatrix:
     Raises:
         InvalidSigmaError: sigma is not a positive finite number.
     """
-    if not np.isfinite(sigma) or sigma <= 0:
-        raise InvalidSigmaError(f"sigma must be positive, got {sigma}")
-    cos = cosine_affinity(emb).data
-    d2 = np.clip(2.0 * (1.0 - cos), 0.0, None)
-    data = np.exp(-d2 / (sigma * sigma))
-    np.fill_diagonal(data, 0.0)
-    return AffinityMatrix(data=data, kind=AffinityKind.KERNELIZED)
+    _check_sigma(sigma)
+    d2 = np.clip(2.0 * (1.0 - cosine_affinity(emb)), 0.0, None)
+    a = np.exp(-d2 / (sigma * sigma))
+    np.fill_diagonal(a, 0.0)
+    return a
 
 
 # Rows per block in descending_order. With whole-matrix temporaries instead,
@@ -173,33 +154,30 @@ def descending_order(data: np.ndarray, count: int) -> np.ndarray:
     return order
 
 
-def binarize(a: AffinityMatrix, p: int) -> AffinityMatrix:
-    """Keep the p largest entries of each row as 1, zero the rest.
+def binarize(a: np.ndarray, p: int) -> np.ndarray:
+    """Keep the p largest entries of each row of a raw-cosine matrix as 1, zero the rest.
 
     The diagonal competes like any other entry; ties among equal values go
     to the lowest column index. Every output row sums to exactly p.
 
     Raises:
-        WrongStateError: input is not a raw-cosine matrix.
+        ValueError: a is not a square matrix.
         InvalidPError: p outside [1, n].
     """
-    if a.kind is not AffinityKind.RAW_COSINE:
-        raise WrongStateError(f"binarize expects a raw-cosine matrix, got {a.kind.value}")
-    p = int(p)
-    if not 1 <= p <= a.n:
-        raise InvalidPError(f"p={p} outside [1, {a.n}]")
-    data = np.zeros((a.n, a.n))
-    np.put_along_axis(data, np.argsort(-a.data, axis=1, kind="stable")[:, :p], 1.0, axis=1)
-    return AffinityMatrix(data=data, kind=AffinityKind.BINARIZED)
+    a = _square(a)
+    n, p = a.shape[0], int(p)
+    if not 1 <= p <= n:
+        raise InvalidPError(f"p={p} outside [1, {n}]")
+    b = np.zeros((n, n))
+    np.put_along_axis(b, np.argsort(-a, axis=1, kind="stable")[:, :p], 1.0, axis=1)
+    return b
 
 
-def symmetrize(a: AffinityMatrix) -> AffinityMatrix:
+def symmetrize(a: np.ndarray) -> np.ndarray:
     """Average a binarized matrix with its transpose; entries land in {0, 0.5, 1}.
 
     Raises:
-        WrongStateError: input is not a binarized matrix.
+        ValueError: a is not a square matrix.
     """
-    if a.kind is not AffinityKind.BINARIZED:
-        raise WrongStateError(f"symmetrize expects a binarized matrix, got {a.kind.value}")
-    data = (a.data + a.data.T) / 2.0
-    return AffinityMatrix(data=data, kind=AffinityKind.SYMMETRIZED)
+    a = _square(a)
+    return (a + a.T) / 2.0

@@ -27,6 +27,7 @@ from .diarization import (
     write_rttm,
 )
 from .nme import NjwConfig, NmeConfig, NmeScan, nme_sc, njw_sc
+from .numerics import NoConvergenceError
 from .testbench import SynthSpec, generate
 
 __all__ = ["scan_to_csv", "main", "entrypoint"]
@@ -171,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "score":
             return _cmd_score(args, parser)
         return _cmd_synth(args, parser)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, NoConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

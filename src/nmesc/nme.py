@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import (
-    AffinityKind,
-    AffinityMatrix,
     EmbeddingSequence,
     InvalidPError,
-    WrongStateError,
+    _check_sigma,
+    _square,
     cosine_affinity,
     descending_order,
     kernel_affinity,
@@ -108,8 +107,7 @@ class NjwConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be a positive finite number")
+        _check_sigma(self.sigma)
         _check_shared_settings(self.max_speakers, self.fixed_k, self.seed)
 
 
@@ -181,34 +179,32 @@ class NmeProbe(NmeScanEntry):
     eigensystem: EigenSystem
 
 
-def unnormalized_laplacian(a: AffinityMatrix) -> np.ndarray:
-    """L = D - A with D the diagonal of row sums; rows of L sum to zero.
+def unnormalized_laplacian(a: np.ndarray) -> np.ndarray:
+    """L = D - A of a symmetrized affinity A, with D the diagonal of row sums; rows of L sum to zero.
 
     Self-loops cancel: the diagonal of A contributes identically to D and A.
 
     Raises:
-        WrongStateError: input is not a symmetrized matrix.
+        ValueError: a is not a square matrix.
     """
-    if a.kind is not AffinityKind.SYMMETRIZED:
-        raise WrongStateError(f"laplacian expects a symmetrized matrix, got {a.kind.value}")
-    return np.diag(a.data.sum(axis=1)) - a.data
+    a = _square(a)
+    return np.diag(a.sum(axis=1)) - a
 
 
-def normalized_laplacian(a: AffinityMatrix) -> np.ndarray:
-    """Symmetrically normalized adjacency D^-1/2 A D^-1/2 (eigenvalues in [-1, 1]).
+def normalized_laplacian(a: np.ndarray) -> np.ndarray:
+    """Symmetrically normalized kernel affinity D^-1/2 A D^-1/2 (eigenvalues in [-1, 1]).
 
     Raises:
-        WrongStateError: input is not a kernelized matrix.
+        ValueError: a is not a square matrix.
         IsolatedNodeError: some row sums to zero (vertex with no affinity mass).
     """
-    if a.kind is not AffinityKind.KERNELIZED:
-        raise WrongStateError(f"normalized laplacian expects a kernelized matrix, got {a.kind.value}")
-    d = a.data.sum(axis=1)
+    a = _square(a)
+    d = a.sum(axis=1)
     if np.any(d <= 0):
         bad = int(np.argmax(d <= 0))
         raise IsolatedNodeError(f"vertex {bad} has zero affinity mass")
     s = 1.0 / np.sqrt(d)
-    return a.data * np.outer(s, s)
+    return a * np.outer(s, s)
 
 
 def eigengap_vector(values: np.ndarray, limit: int) -> np.ndarray:
@@ -318,7 +314,7 @@ def _rayleigh_ritz_step(lap: np.ndarray, basis: np.ndarray, lap_basis: np.ndarra
 def _pruned_laplacians(order: np.ndarray, p_max: int):
     """Yield the pruned graph's unnormalized Laplacian L for p = 1, ..., p_max.
 
-    With order = descending_order(a.data, p_max), L equals
+    With order = descending_order(a, p_max), L equals
     unnormalized_laplacian(symmetrize(binarize(a, p))) exactly: p adds one
     neighbour cols[i] per row i, so L loses 0.5 at (i, cols[i]) and (cols[i], i)
     and its diagonal gains 0.5 plus 0.5 per incoming edge; all entries stay
@@ -336,8 +332,8 @@ def _pruned_laplacians(order: np.ndarray, p_max: int):
         yield lap
 
 
-def nme_probes(a: AffinityMatrix, ps, cfg: NmeConfig = NmeConfig()):
-    """Yield an NmeProbe for each distinct p in ps, in ascending p, from one Laplacian walk.
+def nme_probes(a: np.ndarray, ps, cfg: NmeConfig = NmeConfig()):
+    """Yield an NmeProbe for each distinct p in ps, in ascending p, from one Laplacian walk of raw-cosine a.
 
     One descending_order up to max(ps) and one pass of _pruned_laplacians
     build every pruned graph's unnormalized Laplacian; only the p asked for
@@ -347,32 +343,32 @@ def nme_probes(a: AffinityMatrix, ps, cfg: NmeConfig = NmeConfig()):
     first next(), not at the call.
 
     Raises:
-        WrongStateError: input is not a raw-cosine matrix.
+        ValueError: a is not a square matrix.
         InvalidPError: some p outside [1, n].
     """
-    if a.kind is not AffinityKind.RAW_COSINE:
-        raise WrongStateError(f"nme probes expect a raw-cosine matrix, got {a.kind.value}")
+    a = _square(a)
+    n = a.shape[0]
     wanted = {int(p) for p in ps}
-    bad = sorted(p for p in wanted if not 1 <= p <= a.n)
+    bad = sorted(p for p in wanted if not 1 <= p <= n)
     if bad:
-        raise InvalidPError(f"p={bad[0]} outside [1, {a.n}]")
+        raise InvalidPError(f"p={bad[0]} outside [1, {n}]")
     if not wanted:
         return
     p_last = max(wanted)
-    for p, lap in enumerate(_pruned_laplacians(descending_order(a.data, p_last), p_last), start=1):
+    for p, lap in enumerate(_pruned_laplacians(descending_order(a, p_last), p_last), start=1):
         if p in wanted:
             es = eigh(lap)
             gp, rp, k = _nme_metrics(es.values, p, cfg)
             yield NmeProbe(p=p, gp=gp, rp=rp, k_at_p=k, eigensystem=es)
 
 
-def nme_at(a: AffinityMatrix, p: int, cfg: NmeConfig = NmeConfig()) -> NmeProbe:
+def nme_at(a: np.ndarray, p: int, cfg: NmeConfig = NmeConfig()) -> NmeProbe:
     """The probe of one threshold p: nme_probes' one-p case, raising its errors at the call."""
     return next(nme_probes(a, [p], cfg))
 
 
-def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
-    """Scan integer p upward from 1 to at most min(p_max, N) and select p_hat, k_hat.
+def nme_scan(a: np.ndarray, cfg: NmeConfig = NmeConfig()) -> NmeScan:
+    """Scan integer p upward from 1 to at most min(p_max, N) over raw-cosine a and select p_hat, k_hat.
 
     One pass over p updates a single Laplacian and takes only its eigenvalues
     (nme_sc re-probes p_hat for eigenvectors). p_hat is the argmin of r_p
@@ -453,12 +449,11 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     Kept entries, p_hat and k_hat equal a full scan's bit for bit.
 
     Raises:
+        ValueError: a is not a square matrix.
         InputTooSmallError: fewer than 4 segments.
-        WrongStateError: input is not a raw-cosine matrix.
     """
-    if a.kind is not AffinityKind.RAW_COSINE:
-        raise WrongStateError(f"scan expects a raw-cosine matrix, got {a.kind.value}")
-    n = a.n
+    a = _square(a)
+    n = a.shape[0]
     if n < 4:
         raise InputTooSmallError(f"need at least 4 segments, got {n}")
     p_max = cfg.p_max if cfg.p_max is not None else max(1, n // 4)
@@ -469,7 +464,7 @@ def nme_scan(a: AffinityMatrix, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     entries, skipped = [], []
     best = basis = None
     certifying = cfg.epsilon >= _CERTIFICATE_FLOOR * n * np.finfo(float).eps  # the component certificate
-    order = descending_order(a.data, p_max)
+    order = descending_order(a, p_max)
     for p, lap in enumerate(_pruned_laplacians(order, p_max), start=1):
         if best is not None and p * (1.0 - _SKIP_MARGIN) >= best.rp:
             break

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nmesc import AffinityKind, AffinityMatrix, EmbeddingSequence
+from nmesc import EmbeddingSequence
 
 
 @pytest.fixture
@@ -23,7 +23,3 @@ def random_embeddings(rng: np.random.Generator, n: int, dim: int) -> EmbeddingSe
         ends=starts + 1.0,
         vectors=rng.standard_normal((n, dim)),
     )
-
-
-def raw_matrix(data) -> AffinityMatrix:
-    return AffinityMatrix(data=np.asarray(data, dtype=float), kind=AffinityKind.RAW_COSINE)

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmesc import (
-    AffinityKind,
     EmbeddingSequence,
     InvalidPError,
     InvalidSigmaError,
-    WrongStateError,
     ZeroNormError,
     binarize,
     cosine_affinity,
@@ -18,7 +16,7 @@ from nmesc import (
     symmetrize,
 )
 from nmesc.affinity import descending_order
-from conftest import random_embeddings, raw_matrix
+from conftest import random_embeddings
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +30,7 @@ def test_cosine_affinity_orthogonal_pair() -> None:
         ends=np.array([1.0, 2.0]),
         vectors=np.array([[1.0, 0.0], [0.0, 1.0]]),
     )
-    assert np.array_equal(cosine_affinity(emb).data, np.eye(2))
+    assert np.array_equal(cosine_affinity(emb), np.eye(2))
 
 
 def test_cosine_affinity_identical_vectors_all_ones() -> None:
@@ -41,7 +39,7 @@ def test_cosine_affinity_identical_vectors_all_ones() -> None:
         ends=np.arange(3.0) + 1,
         vectors=np.tile([2.0, 1.0, 0.0], (3, 1)),
     )
-    assert np.allclose(cosine_affinity(emb).data, 1.0, atol=1e-12)
+    assert np.allclose(cosine_affinity(emb), 1.0, atol=1e-12)
 
 
 def test_cosine_affinity_matches_double_loop_oracle() -> None:
@@ -52,7 +50,7 @@ def test_cosine_affinity_matches_double_loop_oracle() -> None:
         for j in range(5):
             u, v = emb.vectors[i], emb.vectors[j]
             want = 1.0 if i == j else float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-            assert a.data[i, j] == pytest.approx(want, abs=1e-12)
+            assert a[i, j] == pytest.approx(want, abs=1e-12)
 
 
 def test_cosine_affinity_scale_invariant() -> None:
@@ -62,15 +60,15 @@ def test_cosine_affinity_scale_invariant() -> None:
     scaled = EmbeddingSequence(
         starts=emb.starts, ends=emb.ends, vectors=emb.vectors * scales[:, None]
     )
-    assert np.abs(cosine_affinity(emb).data - cosine_affinity(scaled).data).max() <= 1e-12
+    assert np.abs(cosine_affinity(emb) - cosine_affinity(scaled)).max() <= 1e-12
 
 
 def test_cosine_affinity_bounds_and_diagonal() -> None:
     rng = np.random.default_rng(2)
     a = cosine_affinity(random_embeddings(rng, 10, 3))
-    assert np.all(a.data <= 1.0) and np.all(a.data >= -1.0)
-    assert np.array_equal(np.diag(a.data), np.ones(10))
-    assert np.array_equal(a.data, a.data.T)
+    assert np.all(a <= 1.0) and np.all(a >= -1.0)
+    assert np.array_equal(np.diag(a), np.ones(10))
+    assert np.array_equal(a, a.T)
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +83,14 @@ def test_kernel_affinity_identical_directions_weight_one() -> None:
         vectors=np.array([[1.0, 0.0], [2.0, 0.0]]),  # same direction, d = 0
     )
     a = kernel_affinity(emb, sigma=0.5)
-    assert a.data[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert a[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_affinity_diagonal_zero_any_sigma() -> None:
     rng = np.random.default_rng(3)
     emb = random_embeddings(rng, 5, 4)
     for sigma in (0.1, 1.0, 10.0):
-        assert np.array_equal(np.diag(kernel_affinity(emb, sigma).data), np.zeros(5))
+        assert np.array_equal(np.diag(kernel_affinity(emb, sigma)), np.zeros(5))
 
 
 def test_kernel_affinity_half_distance_value() -> None:
@@ -104,22 +102,22 @@ def test_kernel_affinity_half_distance_value() -> None:
         vectors=np.array([[1.0, 0.0], [c, np.sqrt(1 - c * c)]]),
     )
     a = kernel_affinity(emb, sigma=1.0)
-    assert a.data[0, 1] == pytest.approx(np.exp(-0.25), abs=1e-12)
-    assert a.data[0, 1] == pytest.approx(0.7788, abs=1e-4)
+    assert a[0, 1] == pytest.approx(np.exp(-0.25), abs=1e-12)
+    assert a[0, 1] == pytest.approx(0.7788, abs=1e-4)
 
 
 def test_kernel_affinity_entries_in_unit_interval() -> None:
     rng = np.random.default_rng(4)
     a = kernel_affinity(random_embeddings(rng, 8, 6), sigma=0.7)
-    off = a.data[~np.eye(8, dtype=bool)]
+    off = a[~np.eye(8, dtype=bool)]
     assert np.all(off > 0.0) and np.all(off <= 1.0)
 
 
 def test_kernel_affinity_invalid_sigma() -> None:
     rng = np.random.default_rng(5)
     emb = random_embeddings(rng, 4, 3)
-    for sigma in (0.0, -1.0, np.nan):
-        with pytest.raises(InvalidSigmaError):
+    for sigma in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(InvalidSigmaError, match=f"^sigma must be a positive finite number, got {sigma}$"):
             kernel_affinity(emb, sigma)
 
 
@@ -131,25 +129,25 @@ def test_kernel_affinity_invalid_sigma() -> None:
 def test_binarize_p_equals_n_all_ones() -> None:
     rng = np.random.default_rng(6)
     a = cosine_affinity(random_embeddings(rng, 5, 3))
-    assert np.array_equal(binarize(a, 5).data, np.ones((5, 5)))
+    assert np.array_equal(binarize(a, 5), np.ones((5, 5)))
 
 
 def test_binarize_hand_enumerated_top2() -> None:
-    a = raw_matrix([[1.0, 0.9, 0.1], [0.9, 1.0, 0.2], [0.1, 0.2, 1.0]])
+    a = np.array([[1.0, 0.9, 0.1], [0.9, 1.0, 0.2], [0.1, 0.2, 1.0]])
     want = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
-    assert np.array_equal(binarize(a, 2).data, np.array(want))
+    assert np.array_equal(binarize(a, 2), np.array(want))
 
 
 def test_binarize_p1_is_identity_for_distinct_rows() -> None:
     rng = np.random.default_rng(7)
     a = cosine_affinity(random_embeddings(rng, 9, 5))
-    assert np.array_equal(binarize(a, 1).data, np.eye(9))
+    assert np.array_equal(binarize(a, 1), np.eye(9))
 
 
 def test_binarize_p1_duplicate_ties_go_to_lowest_column() -> None:
-    a = raw_matrix([[1.0, 1.0, 0.2], [1.0, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    a = np.array([[1.0, 1.0, 0.2], [1.0, 1.0, 0.3], [0.2, 0.3, 1.0]])
     want = [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-    assert np.array_equal(binarize(a, 1).data, np.array(want))
+    assert np.array_equal(binarize(a, 1), np.array(want))
 
 
 def test_binarize_many_ties_go_to_lowest_columns() -> None:
@@ -160,7 +158,7 @@ def test_binarize_many_ties_go_to_lowest_columns() -> None:
         want = np.zeros_like(data)
         for i, row in enumerate(data):
             want[i, sorted(range(80), key=lambda j: -row[j])[:p]] = 1.0
-        assert np.array_equal(binarize(raw_matrix(data), p).data, want)
+        assert np.array_equal(binarize(data, p), want)
 
 
 def test_binarize_row_sums_and_monotone_nesting() -> None:
@@ -168,7 +166,7 @@ def test_binarize_row_sums_and_monotone_nesting() -> None:
     a = cosine_affinity(random_embeddings(rng, 11, 4))
     prev = None
     for p in range(1, 12):
-        b = binarize(a, p).data
+        b = binarize(a, p)
         assert np.array_equal(b.sum(axis=1), np.full(11, float(p)))
         assert np.isin(b, (0.0, 1.0)).all()
         if prev is not None:
@@ -183,22 +181,18 @@ def test_binarize_errors() -> None:
         binarize(a, 0)
     with pytest.raises(InvalidPError):
         binarize(a, 5)
-    with pytest.raises(WrongStateError):
-        binarize(binarize(a, 2), 1)
 
 
 def test_symmetrize_fixed_point_for_symmetric_input() -> None:
     rng = np.random.default_rng(10)
     a = cosine_affinity(random_embeddings(rng, 6, 4))
     b = binarize(a, 6)  # all ones: already symmetric
-    assert np.array_equal(symmetrize(b).data, b.data)
+    assert np.array_equal(symmetrize(b), b)
 
 
 def test_symmetrize_direct_two_by_two() -> None:
-    from nmesc import AffinityMatrix
-
-    a = AffinityMatrix(data=np.array([[1.0, 1.0], [0.0, 1.0]]), kind=AffinityKind.BINARIZED)
-    assert np.array_equal(symmetrize(a).data, np.array([[1.0, 0.5], [0.5, 1.0]]))
+    a = np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(symmetrize(a), np.array([[1.0, 0.5], [0.5, 1.0]]))
 
 
 def test_symmetrize_matches_transpose_average_oracle() -> None:
@@ -206,36 +200,29 @@ def test_symmetrize_matches_transpose_average_oracle() -> None:
     a = cosine_affinity(random_embeddings(rng, 7, 5))
     b = binarize(a, 3)
     sym = symmetrize(b)
-    assert np.array_equal(sym.data, (b.data + b.data.T) / 2.0)
-    assert np.isin(sym.data, (0.0, 0.5, 1.0)).all()
-    assert np.array_equal(sym.data, sym.data.T)
+    assert np.array_equal(sym, (b + b.T) / 2.0)
+    assert np.isin(sym, (0.0, 0.5, 1.0)).all()
+    assert np.array_equal(sym, sym.T)
 
 
 def test_symmetrize_of_full_binarization_is_all_ones() -> None:
     rng = np.random.default_rng(12)
     a = cosine_affinity(random_embeddings(rng, 5, 3))
-    assert np.array_equal(symmetrize(binarize(a, 5)).data, np.ones((5, 5)))
-
-
-def test_symmetrize_wrong_state() -> None:
-    rng = np.random.default_rng(13)
-    a = cosine_affinity(random_embeddings(rng, 4, 3))
-    with pytest.raises(WrongStateError):
-        symmetrize(a)
+    assert np.array_equal(symmetrize(binarize(a, 5)), np.ones((5, 5)))
 
 
 def test_binarize_symmetrize_permutation_equivariance() -> None:
     rng = np.random.default_rng(14)
     a = cosine_affinity(random_embeddings(rng, 8, 6))
     # Distinct row values make the tie-break immaterial.
-    for row in a.data:
+    for row in a:
         assert np.unique(row).size == 8
     perm = rng.permutation(8)
     p_mat = np.eye(8)[perm]
-    permuted = raw_matrix(p_mat @ a.data @ p_mat.T)
+    permuted = p_mat @ a @ p_mat.T
     for p in (1, 3, 5):
-        direct = symmetrize(binarize(permuted, p)).data
-        mapped = p_mat @ symmetrize(binarize(a, p)).data @ p_mat.T
+        direct = symmetrize(binarize(permuted, p))
+        mapped = p_mat @ symmetrize(binarize(a, p)) @ p_mat.T
         assert np.array_equal(direct, mapped)
 
 

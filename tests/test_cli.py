@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,6 +185,19 @@ def test_cluster_missing_input_exits_one(tmp_path, capsys) -> None:
     code = main(["cluster", "--embeddings", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o.rttm")])
     assert code == 1
     assert "nope.jsonl" in capsys.readouterr().err
+
+
+def test_cluster_solver_failure_exits_one(tmp_path, monkeypatch, capsys) -> None:
+    emb, _ = _synth(tmp_path, clusters=2, per_cluster=10, dim=8)
+
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    out = tmp_path / "o.rttm"
+    assert main(["cluster", "--embeddings", str(emb), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: symmetric eigensolver did not converge: Eigenvalues did not converge\n"
+    assert not out.exists()
 
 
 def test_score_identity_machine_line(tmp_path, capsys) -> None:

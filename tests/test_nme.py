@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmesc import (
-    AffinityKind,
-    AffinityMatrix,
     EmbeddingSequence,
     InputTooSmallError,
     InvalidKError,
     InvalidPError,
+    InvalidSigmaError,
     IsolatedNodeError,
     NjwConfig,
     NmeConfig,
@@ -25,7 +24,6 @@ from nmesc import (
     NotEvaluatedError,
     SynthSpec,
     TooFewEigenvaluesError,
-    WrongStateError,
     best_map_accuracy,
     binarize,
     cosine_affinity,
@@ -60,26 +58,18 @@ from conftest import random_embeddings
 from oracles import bfs_component_count, matrix_component_count
 
 
-def _sym(data) -> AffinityMatrix:
-    return AffinityMatrix(data=np.asarray(data, dtype=float), kind=AffinityKind.SYMMETRIZED)
-
-
-def _kern(data) -> AffinityMatrix:
-    return AffinityMatrix(data=np.asarray(data, dtype=float), kind=AffinityKind.KERNELIZED)
-
-
 # ---------------------------------------------------------------------------
 # Laplacians
 # ---------------------------------------------------------------------------
 
 
 def test_unnormalized_laplacian_two_node_clique() -> None:
-    lap = unnormalized_laplacian(_sym([[1.0, 1.0], [1.0, 1.0]]))
+    lap = unnormalized_laplacian(np.ones((2, 2)))
     assert np.array_equal(lap, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_unnormalized_laplacian_of_identity_is_zero() -> None:
-    assert np.array_equal(unnormalized_laplacian(_sym(np.eye(4))), np.zeros((4, 4)))
+    assert np.array_equal(unnormalized_laplacian(np.eye(4)), np.zeros((4, 4)))
 
 
 def test_unnormalized_laplacian_zero_multiplicity_counts_blocks() -> None:
@@ -92,10 +82,9 @@ def test_unnormalized_laplacian_zero_multiplicity_counts_blocks() -> None:
         at += len(b)
     perm = rng.permutation(9)
     data = data[perm][:, perm]
-    a = _sym(data)
-    values = eigh(unnormalized_laplacian(a)).values
+    values = eigh(unnormalized_laplacian(data)).values
     assert int((values < 1e-9).sum()) == 3
-    assert matrix_component_count(a.data) == 3
+    assert matrix_component_count(data) == 3
 
 
 def test_unnormalized_laplacian_rows_sum_to_zero_and_psd() -> None:
@@ -114,26 +103,19 @@ def test_unnormalized_laplacian_self_loop_invariance_exact() -> None:
     sym = symmetrize(binarize(cosine_affinity(emb), 3))
     lap = unnormalized_laplacian(sym)
     for c in (0.5, 1.0, 2.5):
-        bumped = _sym(sym.data + c * np.eye(7))
+        bumped = sym + c * np.eye(7)
         assert np.array_equal(unnormalized_laplacian(bumped), lap)
 
 
-def test_unnormalized_laplacian_wrong_state() -> None:
-    rng = np.random.default_rng(3)
-    a = cosine_affinity(random_embeddings(rng, 4, 3))
-    with pytest.raises(WrongStateError):
-        unnormalized_laplacian(a)
-
-
 def test_normalized_laplacian_two_node_swap() -> None:
-    lap = normalized_laplacian(_kern([[0.0, 1.0], [1.0, 0.0]]))
+    lap = normalized_laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(lap, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
     assert np.allclose(np.sort(eigh(lap).values), [-1.0, 1.0], atol=1e-12)
 
 
 def test_normalized_laplacian_triangle_spectrum() -> None:
     data = np.ones((3, 3)) - np.eye(3)
-    values = eigh(normalized_laplacian(_kern(data))).values
+    values = eigh(normalized_laplacian(data)).values
     assert np.allclose(values, [-0.5, -0.5, 1.0], atol=1e-12)
 
 
@@ -148,7 +130,25 @@ def test_normalized_laplacian_spectral_bound() -> None:
 
 def test_normalized_laplacian_isolated_node() -> None:
     with pytest.raises(IsolatedNodeError):
-        normalized_laplacian(_kern(np.zeros((3, 3))))
+        normalized_laplacian(np.zeros((3, 3)))
+
+
+# Every step that takes a matrix, called on a 3 x 4 array.
+_MATRIX_STEPS = {
+    "binarize": lambda a: binarize(a, 1),
+    "symmetrize": symmetrize,
+    "unnormalized_laplacian": unnormalized_laplacian,
+    "normalized_laplacian": normalized_laplacian,
+    "nme_scan": nme_scan,
+    "nme_probes": lambda a: next(nme_probes(a, [1])),
+    "nme_at": lambda a: nme_at(a, 1),
+}
+
+
+@pytest.mark.parametrize("step", _MATRIX_STEPS.values(), ids=_MATRIX_STEPS.keys())
+def test_matrix_steps_reject_a_non_square_input(step) -> None:
+    with pytest.raises(ValueError, match=r"^affinity matrix must be square, got shape \(3, 4\)$"):
+        step(np.ones((3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_nme_at_identical_embeddings_fully_connected() -> None:
     assert probe.k_at_p == 1
     sym = symmetrize(binarize(a, 5))
     zero_mult = int((eigh(unnormalized_laplacian(sym)).values < 1e-9).sum())
-    assert zero_mult == matrix_component_count(sym.data) == 1
+    assert zero_mult == matrix_component_count(sym) == 1
 
 
 def test_nme_probes_yield_each_distinct_p_once_in_ascending_order() -> None:
@@ -226,14 +226,6 @@ def test_nme_probes_reject_a_p_outside_one_to_n_at_the_first_next() -> None:
         probes = nme_probes(a, [3, p])  # nothing is checked until the first next()
         with pytest.raises(InvalidPError, match=f"p={p} outside"):
             next(probes)
-
-
-def test_nme_probes_reject_a_symmetrized_matrix() -> None:
-    sym = symmetrize(binarize(cosine_affinity(random_embeddings(np.random.default_rng(12), 6, 3)), 2))
-    with pytest.raises(WrongStateError):
-        nme_at(sym, 2)
-    with pytest.raises(WrongStateError):
-        next(nme_probes(sym, []))
 
 
 def test_nme_metrics_bounds_hold_on_random_inputs() -> None:
@@ -314,7 +306,7 @@ def test_nme_scan_deterministic() -> None:
 
 
 @st.composite
-def _affinities_with_duplicates(draw) -> AffinityMatrix:
+def _affinities_with_duplicates(draw) -> np.ndarray:
     """Raw cosine affinities, N in [4, 40], whose rows are drawn with replacement.
 
     Repeated rows are exact duplicates. With {-1, 1}^4 vectors every cosine is
@@ -335,9 +327,10 @@ def _affinities_with_duplicates(draw) -> AffinityMatrix:
 @settings(max_examples=100, deadline=None)
 @given(a=_affinities_with_duplicates())
 def test_pruned_laplacians_equal_public_chain_at_every_p(a) -> None:
-    laplacians = _pruned_laplacians(descending_order(a.data, a.n), a.n)
-    probes = nme_probes(a, range(1, a.n + 1))
-    for p, lap, probe in zip(range(1, a.n + 1), laplacians, probes, strict=True):
+    n = a.shape[0]
+    laplacians = _pruned_laplacians(descending_order(a, n), n)
+    probes = nme_probes(a, range(1, n + 1))
+    for p, lap, probe in zip(range(1, n + 1), laplacians, probes, strict=True):
         chain = unnormalized_laplacian(symmetrize(binarize(a, p)))
         assert np.array_equal(lap, chain)
         want = eigh(chain)
@@ -358,13 +351,13 @@ def test_nme_scan_invariants(a, max_speakers, p_max) -> None:
     for e in scan.entries:
         assert 0.0 <= e.gp <= 1.0
         assert e.rp >= e.p
-        assert 1 <= e.k_at_p <= min(max_speakers, a.n - 1)
+        assert 1 <= e.k_at_p <= min(max_speakers, a.shape[0] - 1)
     best = min(scan.entries, key=lambda e: (e.rp, e.p))
     assert scan.p_hat == best.p
     assert scan.k_hat == min(best.k_at_p, max_speakers)
 
 
-def _full_reference_scan(a: AffinityMatrix, cfg: NmeConfig, p_max: int) -> list:
+def _full_reference_scan(a: np.ndarray, cfg: NmeConfig, p_max: int) -> list:
     """(p, g_p, r_p, k_at_p) at every p <= p_max through the public chain, no stop."""
     rows = []
     for p in range(1, p_max + 1):
@@ -379,7 +372,7 @@ def _full_reference_scan(a: AffinityMatrix, cfg: NmeConfig, p_max: int) -> list:
     return rows
 
 
-def _assert_scan_matches_full_scan(a: AffinityMatrix, cfg: NmeConfig):
+def _assert_scan_matches_full_scan(a: np.ndarray, cfg: NmeConfig):
     """Compare a scan with the full public-chain reference, p by p."""
     scan = nme_scan(a, cfg)
     ref = _full_reference_scan(a, cfg, scan.p_max)
@@ -405,7 +398,7 @@ def _assert_scan_matches_full_scan(a: AffinityMatrix, cfg: NmeConfig):
 
 
 @st.composite
-def _clustered_affinities(draw) -> AffinityMatrix:
+def _clustered_affinities(draw) -> np.ndarray:
     """Raw cosine affinities of synthetic 2-4 speaker corpora, N in [40, 200].
 
     Past p_hat their scans often skip p, which the small drawn matrices rarely do.
@@ -454,7 +447,7 @@ def test_r_lower_bound_holds_at_exact_eigenvectors(seed) -> None:
     a = cosine_affinity(random_embeddings(rng, n, int(rng.integers(2, 12))))
     cfg = NmeConfig(max_speakers=int(rng.integers(1, 9)))
     w = min(cfg.max_speakers + 4, n)
-    for p, lap in enumerate(_pruned_laplacians(descending_order(a.data, n // 2), n // 2), start=1):
+    for p, lap in enumerate(_pruned_laplacians(descending_order(a, n // 2), n // 2), start=1):
         values = eigvalsh(lap)
         vectors = eigh(lap).vectors
         basis = np.ascontiguousarray(vectors[:, :w])
@@ -467,7 +460,7 @@ def test_r_lower_bound_holds_at_exact_eigenvectors(seed) -> None:
 
 
 def _laplacian_at(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
-    for lap in _pruned_laplacians(descending_order(cosine_affinity(random_embeddings(rng, n, 8)).data, p), p):
+    for lap in _pruned_laplacians(descending_order(cosine_affinity(random_embeddings(rng, n, 8)), p), p):
         pass
     return lap
 
@@ -541,8 +534,9 @@ def test_nme_scan_takes_at_most_one_basis_eigh(monkeypatch) -> None:
 @settings(max_examples=100, deadline=None)
 @given(a=st.one_of(_affinities_with_duplicates(), _clustered_affinities()), pick=st.floats(0.0, 1.0))
 def test_component_count_matches_breadth_first_search(a, pick) -> None:
-    order = descending_order(a.data, a.n)
-    for p in {1, 2, 3, 1 + int(pick * (a.n - 1)), a.n}:
+    n = a.shape[0]
+    order = descending_order(a, n)
+    for p in {1, 2, 3, 1 + int(pick * (n - 1)), n}:
         assert _component_count(order[:, :p]) == bfs_component_count(order[:, :p])
 
 
@@ -561,7 +555,7 @@ def test_nme_scan_does_not_solve_an_all_zero_laplacian(monkeypatch) -> None:
 
     monkeypatch.setattr(nmesc.nme, "eigvalsh", counting_eigvalsh)
     a = cosine_affinity(random_embeddings(np.random.default_rng(5), 20, 4))
-    assert np.array_equal(descending_order(a.data, 1)[:, 0], np.arange(20))  # L_1 = 0
+    assert np.array_equal(descending_order(a, 1)[:, 0], np.arange(20))  # L_1 = 0
     scan = nme_scan(a, NmeConfig())
     first = scan.entries[0]
     assert (first.p, first.gp, first.rp, first.k_at_p) == (1, 0.0, 1e10, 1)
@@ -579,12 +573,12 @@ def test_nme_scan_skips_fragmented_p_at_their_exact_r() -> None:
         a = cosine_affinity(emb)
         for epsilon, max_speakers in itertools.product((1e-10, 1e-3), (k, 8)):
             cfg = NmeConfig(epsilon=epsilon, max_speakers=max_speakers)
-            m = min(cfg.max_speakers, a.n - 1) + 1
+            m = min(cfg.max_speakers, a.shape[0] - 1) + 1
             for p, bound in nme_scan(a, cfg).skipped:
                 sym = symmetrize(binarize(a, p))
                 rp = _nme_metrics(eigvalsh(unnormalized_laplacian(sym)), p, cfg)[1]
                 assert bound <= rp
-                if matrix_component_count(sym.data) >= m:
+                if matrix_component_count(sym) >= m:
                     fragmented += 1
                     assert bound == p / epsilon == rp
     assert fragmented >= 16  # p = 2 at least, on every corpus and setting
@@ -593,7 +587,7 @@ def test_nme_scan_skips_fragmented_p_at_their_exact_r() -> None:
 def test_nme_scan_leaves_fragmented_p_to_eigvalsh_below_the_epsilon_floor() -> None:
     emb, _ = generate(SynthSpec(n_clusters=4, segments_per_cluster=75, dim=192, noise=0.15, seed=1))
     a = cosine_affinity(emb)
-    assert 1e-14 < _CERTIFICATE_FLOOR * a.n * np.finfo(float).eps < 1e-10
+    assert 1e-14 < _CERTIFICATE_FLOOR * a.shape[0] * np.finfo(float).eps < 1e-10
     assert 2 in dict(nme_scan(a, NmeConfig()).skipped)
     assert nme_scan(a, NmeConfig(epsilon=1e-14)).entries[1].p == 2
 
@@ -603,7 +597,8 @@ def test_top_vector_norm_is_a_lower_bound_on_lambda_max() -> None:
     for seed in range(6):
         rng = np.random.default_rng(seed)
         a = cosine_affinity(random_embeddings(rng, int(rng.integers(8, 120)), int(rng.integers(2, 12))))
-        laplacians = [lap.copy() for lap in _pruned_laplacians(descending_order(a.data, a.n // 2), a.n // 2)]
+        half = a.shape[0] // 2
+        laplacians = [lap.copy() for lap in _pruned_laplacians(descending_order(a, half), half)]
         start = int(rng.integers(1, len(laplacians)))
         x = eigh(laplacians[start - 1]).vectors[:, -1]
         for p, lap in enumerate(laplacians[start - 1 :], start=start):
@@ -680,7 +675,7 @@ def test_nme_scan_zero_multiplicity_matches_components_for_all_p() -> None:
         for p in range(1, n + 1):
             sym = symmetrize(binarize(a, p))
             values = eigh(unnormalized_laplacian(sym)).values
-            assert int((values < 1e-9).sum()) == matrix_component_count(sym.data)
+            assert int((values < 1e-9).sum()) == matrix_component_count(sym)
 
 
 def test_nme_scan_rejects_small_input() -> None:
@@ -936,7 +931,7 @@ def test_njw_embedding_rows_unit_norm(two_ideal_pairs) -> None:
 
 def test_njw_config_validation() -> None:
     for sigma in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="^sigma must be a positive finite number$"):
+        with pytest.raises(InvalidSigmaError, match=f"^sigma must be a positive finite number, got {sigma}$"):
             NjwConfig(sigma=sigma)
 
 

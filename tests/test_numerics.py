@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from nmesc import (
-    AffinityKind,
-    AffinityMatrix,
     DiarizationResult,
     EigenSystem,
     EmbeddingSequence,
@@ -29,7 +27,6 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # (record type, its array fields, its other fields) for every record that holds arrays.
 _ARRAY_RECORDS = [
     (EmbeddingSequence, {"starts": [0.0, 1.0], "ends": [1.0, 2.0], "vectors": [[1.0, 0.0], [0.0, 1.0]]}, {}),
-    (AffinityMatrix, {"data": [[1.0, 0.5], [0.5, 1.0]]}, {"kind": AffinityKind.RAW_COSINE}),
     (EigenSystem, {"values": [0.0, 2.0], "vectors": [[1.0, 0.0], [0.0, 1.0]]}, {}),
     (
         KMeansResult,

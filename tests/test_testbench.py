@@ -43,7 +43,7 @@ def test_generate_single_cluster_all_same_label() -> None:
 
 def test_generate_noise_free_blocks_are_ideal() -> None:
     emb, truth = generate(SynthSpec(n_clusters=3, segments_per_cluster=5, dim=12, noise=0.0, seed=3))
-    a = cosine_affinity(emb).data
+    a = cosine_affinity(emb)
     same = truth[:, None] == truth[None, :]
     assert a[same].min() >= 1.0 - 1e-12
     assert a[~same].max() <= 0.5 + 1e-12  # centroids at >= 60 degrees
