@@ -16,30 +16,11 @@ from .numerics import _check_timeline, _freeze, _zero_norm
 
 __all__ = [
     "EmbeddingSequence",
-    "ZeroNormError",
-    "InvalidSigmaError",
-    "InvalidPError",
     "cosine_affinity",
     "kernel_affinity",
     "binarize",
     "symmetrize",
 ]
-
-
-class ZeroNormError(ValueError):
-    """An embedding vector has (numerically) zero norm."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
-
-class InvalidSigmaError(ValueError):
-    """Kernel scale must be a positive finite number."""
-
-
-class InvalidPError(ValueError):
-    """Binarization threshold p outside [1, n]."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +55,7 @@ class EmbeddingSequence:
         zero = _zero_norm(vectors)
         if zero.any():
             bad = int(np.argmax(zero))
-            raise ZeroNormError(f"segment {bad} has a zero-norm embedding", index=bad)
+            raise ValueError(f"segment {bad} has a zero-norm embedding")
 
     @property
     def n(self) -> int:
@@ -96,7 +77,7 @@ def _square(a) -> np.ndarray:
 def _check_sigma(sigma: float) -> None:
     """The kernel scale rule kernel_affinity and NjwConfig share: a positive finite number."""
     if not (np.isfinite(sigma) and sigma > 0):
-        raise InvalidSigmaError(f"sigma must be a positive finite number, got {sigma}")
+        raise ValueError(f"sigma must be a positive finite number, got {sigma}")
 
 
 def cosine_affinity(emb: EmbeddingSequence) -> np.ndarray:
@@ -115,7 +96,7 @@ def kernel_affinity(emb: EmbeddingSequence, sigma: float) -> np.ndarray:
     directions get weight 1 and the weight decays with angle.
 
     Raises:
-        InvalidSigmaError: sigma is not a positive finite number.
+        ValueError: sigma is not a positive finite number.
     """
     _check_sigma(sigma)
     d2 = np.clip(2.0 * (1.0 - cosine_affinity(emb)), 0.0, None)
@@ -161,13 +142,12 @@ def binarize(a: np.ndarray, p: int) -> np.ndarray:
     to the lowest column index. Every output row sums to exactly p.
 
     Raises:
-        ValueError: a is not a square matrix.
-        InvalidPError: p outside [1, n].
+        ValueError: a is not a square matrix, or p outside [1, n].
     """
     a = _square(a)
     n, p = a.shape[0], int(p)
     if not 1 <= p <= n:
-        raise InvalidPError(f"p={p} outside [1, {n}]")
+        raise ValueError(f"p={p} outside [1, {n}]")
     b = np.zeros((n, n))
     np.put_along_axis(b, np.argsort(-a, axis=1, kind="stable")[:, :p], 1.0, axis=1)
     return b

@@ -35,7 +35,7 @@ __all__ = ["scan_to_csv", "main", "entrypoint"]
 
 def _write_manifest(out: str | Path, command: str, config: dict, inputs: dict) -> None:
     manifest = dict(command=command, config=config, inputs=inputs, tool="nmesc", version=__version__)
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"  # NaN is not JSON
     Path(str(out) + ".manifest.json").write_text(text, encoding="utf-8")
 
 

@@ -28,9 +28,6 @@ __all__ = [
     "RttmRecord",
     "DerReport",
     "ParseError",
-    "DimensionMismatchError",
-    "EmptyInputError",
-    "EmptyReferenceError",
     "load_embeddings",
     "write_embeddings",
     "records_from_result",
@@ -43,18 +40,6 @@ __all__ = [
 
 class ParseError(ValueError):
     """Malformed input line; the message names the line number."""
-
-
-class DimensionMismatchError(ValueError):
-    """Embedding vectors disagree on dimension."""
-
-
-class EmptyInputError(ValueError):
-    """No usable segments in the input."""
-
-
-class EmptyReferenceError(ValueError):
-    """Scoring requires a non-empty reference."""
 
 
 @dataclass(frozen=True)
@@ -176,9 +161,9 @@ def load_embeddings(path: str | Path) -> EmbeddingSequence:
     the file, blank ones included. A byte that is not UTF-8 faults its line.
 
     Raises:
-        ParseError: malformed line (message names the line number).
-        DimensionMismatchError: inconsistent embedding dimensions.
-        EmptyInputError: fewer than 2 segments.
+        ParseError: malformed line, inconsistent dimension included (message
+            names the line number).
+        ValueError: fewer than 2 segments.
     """
     path = Path(path)
     recording_id = "rec"
@@ -214,18 +199,17 @@ def load_embeddings(path: str | Path) -> EmbeddingSequence:
             if vec.size == 0:
                 raise ValueError("empty embedding")
             if vec.size != dim:
-                raise DimensionMismatchError(f"embedding has dimension {vec.size}, expected {dim}")
+                raise ValueError(f"embedding has dimension {vec.size}, expected {dim}")
             if _zero_norm(vec):
                 raise ValueError("zero-norm embedding")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            error = DimensionMismatchError if isinstance(exc, DimensionMismatchError) else ParseError
             detail = f"invalid JSON ({exc.msg})" if isinstance(exc, json.JSONDecodeError) else exc
-            raise error(f"line {lineno}: {detail}") from exc
+            raise ParseError(f"line {lineno}: {detail}") from exc
         starts.append(start)
         ends.append(end)
         vectors.append(vec)
     if len(vectors) < 2:
-        raise EmptyInputError(f"{path}: need at least 2 segments, found {len(vectors)}")
+        raise ValueError(f"{path}: need at least 2 segments, found {len(vectors)}")
     order = np.argsort(starts, kind="stable")
     stacked = np.stack([vectors[i] for i in order])
     del vectors  # frees the per-line rows before EmbeddingSequence takes its own copy
@@ -490,8 +474,8 @@ def score_der(
     score_recordings restricted to one recording id.
 
     Raises:
-        EmptyReferenceError: ref is empty, or hyp names a recording ref lacks.
-        ValueError: collar is negative or not finite, or ref spans several recording ids.
+        ValueError: ref is empty, hyp names a recording ref lacks, collar is
+            negative or not finite, or ref spans several recording ids.
     """
     _, per_recording = score_recordings(ref, hyp, collar, score_overlap)
     if len(per_recording) > 1:
@@ -531,19 +515,18 @@ def score_recordings(
     """Score per recording id and aggregate by summed component times.
 
     Raises:
-        EmptyReferenceError: ref empty, or a hypothesis recording id has no
-            reference counterpart.
-        ValueError: collar is negative or not finite.
+        ValueError: ref empty, a hypothesis recording id has no reference
+            counterpart, or collar is negative or not finite.
     """
     if not ref:
-        raise EmptyReferenceError("reference contains no records")
+        raise ValueError("reference contains no records")
     if not 0 <= collar < math.inf:
         raise ValueError("collar must be a finite number >= 0")
     ref_groups = _group_by_recording(ref)
     hyp_groups = _group_by_recording(hyp)
     orphans = sorted(set(hyp_groups) - set(ref_groups))
     if orphans:
-        raise EmptyReferenceError(f"recording {orphans[0]}: no reference records")
+        raise ValueError(f"recording {orphans[0]}: no reference records")
     exact_collar = _frac(collar)
     totals = [Fraction(0)] * 4
     per_recording: dict[str, DerReport] = {}

@@ -15,7 +15,6 @@ import numpy as np
 
 from .affinity import (
     EmbeddingSequence,
-    InvalidPError,
     _check_sigma,
     _square,
     cosine_affinity,
@@ -23,7 +22,7 @@ from .affinity import (
     kernel_affinity,
 )
 from .diarization import DiarizationResult
-from .numerics import EigenSystem, InvalidKError, KMeansConfig, eigh, eigvalsh, kmeans
+from .numerics import EigenSystem, KMeansConfig, eigh, eigvalsh, kmeans
 
 __all__ = [
     "NmeConfig",
@@ -31,10 +30,6 @@ __all__ = [
     "NmeProbe",
     "NmeScanEntry",
     "NmeScan",
-    "NotEvaluatedError",
-    "IsolatedNodeError",
-    "TooFewEigenvaluesError",
-    "InputTooSmallError",
     "unnormalized_laplacian",
     "normalized_laplacian",
     "eigengap_vector",
@@ -45,22 +40,6 @@ __all__ = [
     "nme_sc",
     "njw_sc",
 ]
-
-
-class IsolatedNodeError(ValueError):
-    """A graph vertex carries no affinity mass (zero row sum)."""
-
-
-class TooFewEigenvaluesError(ValueError):
-    """Eigengap analysis needs at least two eigenvalues."""
-
-
-class InputTooSmallError(ValueError):
-    """The scan needs at least 4 segments to be meaningful."""
-
-
-class NotEvaluatedError(ValueError):
-    """The scan holds no entry for this p: it was skipped or lies outside 1..p_last."""
 
 
 def _check_shared_settings(max_speakers: int, fixed_k: int | None, seed: int) -> None:
@@ -90,8 +69,8 @@ class NmeConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be a positive finite number")
         if self.p_max is not None and self.p_max < 1:
             raise ValueError("p_max must be >= 1 when set")
         _check_shared_settings(self.max_speakers, self.fixed_k, self.seed)
@@ -161,15 +140,15 @@ class NmeScan:
         """The entry of an evaluated p.
 
         Raises:
-            NotEvaluatedError: p was skipped, or lies outside 1..p_last.
+            ValueError: p was skipped, or lies outside 1..p_last.
         """
         for e in self.entries:
             if e.p == p:
                 return e
         for q, bound in self.skipped:
             if q == p:
-                raise NotEvaluatedError(f"p={p} was skipped: its r_p is at least {bound}")
-        raise NotEvaluatedError(f"p={p} was not scanned")
+                raise ValueError(f"p={p} was skipped: its r_p is at least {bound}")
+        raise ValueError(f"p={p} was not scanned")
 
 
 @dataclass(frozen=True)
@@ -195,14 +174,14 @@ def normalized_laplacian(a: np.ndarray) -> np.ndarray:
     """Symmetrically normalized kernel affinity D^-1/2 A D^-1/2 (eigenvalues in [-1, 1]).
 
     Raises:
-        ValueError: a is not a square matrix.
-        IsolatedNodeError: some row sums to zero (vertex with no affinity mass).
+        ValueError: a is not a square matrix, or some row sums to zero (vertex
+            with no affinity mass).
     """
     a = _square(a)
     d = a.sum(axis=1)
     if np.any(d <= 0):
         bad = int(np.argmax(d <= 0))
-        raise IsolatedNodeError(f"vertex {bad} has zero affinity mass")
+        raise ValueError(f"vertex {bad} has zero affinity mass")
     s = 1.0 / np.sqrt(d)
     return a * np.outer(s, s)
 
@@ -215,11 +194,11 @@ def eigengap_vector(values: np.ndarray, limit: int) -> np.ndarray:
     estimation time.
 
     Raises:
-        TooFewEigenvaluesError: fewer than two eigenvalues.
+        ValueError: fewer than two eigenvalues, or limit < 1.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.shape[0] < 2:
-        raise TooFewEigenvaluesError("need at least 2 eigenvalues to form gaps")
+        raise ValueError("need at least 2 eigenvalues to form gaps")
     if limit < 1:
         raise ValueError("limit must be >= 1")
     gaps = np.diff(values)[: min(int(limit), values.shape[0] - 1)]
@@ -343,15 +322,14 @@ def nme_probes(a: np.ndarray, ps, cfg: NmeConfig = NmeConfig()):
     first next(), not at the call.
 
     Raises:
-        ValueError: a is not a square matrix.
-        InvalidPError: some p outside [1, n].
+        ValueError: a is not a square matrix, or some p outside [1, n].
     """
     a = _square(a)
     n = a.shape[0]
     wanted = {int(p) for p in ps}
     bad = sorted(p for p in wanted if not 1 <= p <= n)
     if bad:
-        raise InvalidPError(f"p={bad[0]} outside [1, {n}]")
+        raise ValueError(f"p={bad[0]} outside [1, {n}]")
     if not wanted:
         return
     p_last = max(wanted)
@@ -449,13 +427,12 @@ def nme_scan(a: np.ndarray, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     Kept entries, p_hat and k_hat equal a full scan's bit for bit.
 
     Raises:
-        ValueError: a is not a square matrix.
-        InputTooSmallError: fewer than 4 segments.
+        ValueError: a is not a square matrix, or it has fewer than 4 segments.
     """
     a = _square(a)
     n = a.shape[0]
     if n < 4:
-        raise InputTooSmallError(f"need at least 4 segments, got {n}")
+        raise ValueError(f"need at least 4 segments, got {n}")
     p_max = cfg.p_max if cfg.p_max is not None else max(1, n // 4)
     p_max = min(int(p_max), n)
     m = min(cfg.max_speakers, n - 1) + 1
@@ -502,10 +479,10 @@ def spectral_embedding(es: EigenSystem, k: int) -> np.ndarray:
     """Rows of the k eigenvectors with the smallest eigenvalues (not renormalized).
 
     Raises:
-        InvalidKError: k outside [1, n].
+        ValueError: k outside [1, n].
     """
     if not 1 <= k <= es.n:
-        raise InvalidKError(f"k={k} outside [1, {es.n}]")
+        raise ValueError(f"k={k} outside [1, {es.n}]")
     return es.vectors[:, :k].copy()
 
 
@@ -543,10 +520,10 @@ def njw_sc(emb: EmbeddingSequence, cfg: NjwConfig) -> DiarizationResult:
     is set, then clusters the row-normalized top-k eigenvector matrix.
     """
     if emb.n < 4:
-        raise InputTooSmallError(f"need at least 4 segments, got {emb.n}")
+        raise ValueError(f"need at least 4 segments, got {emb.n}")
     es = eigh(normalized_laplacian(kernel_affinity(emb, cfg.sigma)))
     if cfg.fixed_k is not None:
-        k = cfg.fixed_k  # kmeans raises InvalidKError for k > N
+        k = cfg.fixed_k  # kmeans raises ValueError for k > N
     else:
         # Gaps of the negated descending values are the descending gaps exactly: (-b) - (-a) = a - b.
         k = 1 + int(np.argmax(eigengap_vector(-es.values[::-1], cfg.max_speakers)))

@@ -15,26 +15,15 @@ __all__ = [
     "EigenSystem",
     "KMeansConfig",
     "KMeansResult",
-    "NonFiniteError",
     "NoConvergenceError",
-    "InvalidKError",
     "eigh",
     "eigvalsh",
     "kmeans",
 ]
 
 
-class NonFiniteError(ValueError):
-    """Input contains NaN or Inf entries."""
-
-
 class NoConvergenceError(RuntimeError):
     """The eigensolver hit its iteration cap without converging."""
-
-
-class InvalidKError(ValueError):
-    """Requested cluster count is outside [1, n]."""
-
 
 def _freeze(record, dtype=float, **arrays) -> None:
     """Store a read-only copy of each array on a frozen dataclass record, under its keyword name."""
@@ -93,7 +82,7 @@ def _solve_symmetric(solver, m: np.ndarray):
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     hi, lo = float(m.max()), float(m.min())  # NaN propagates; +-inf lands in one of them
     if not (np.isfinite(hi) and np.isfinite(lo)):
-        raise NonFiniteError("matrix contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     scale = max(1.0, hi, -lo)
     asym = float((m - m.T).max())  # m - m.T is exactly antisymmetric: its max is its max |entry|
     if asym > 1e-12 * scale:
@@ -114,9 +103,8 @@ def eigh(m: np.ndarray) -> EigenSystem:
         EigenSystem with ascending eigenvalues and orthonormal eigenvectors.
 
     Raises:
-        NonFiniteError: any entry is NaN or Inf.
+        ValueError: not square, any entry NaN or Inf, or asymmetry beyond tolerance.
         NoConvergenceError: the underlying iteration failed to converge.
-        ValueError: not square, or asymmetry beyond tolerance.
     """
     return EigenSystem(*_solve_symmetric(np.linalg.eigh, m))
 
@@ -239,17 +227,16 @@ def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig = KMeansConfig()) -> KM
         cfg: seeding/restart configuration.
 
     Raises:
-        InvalidKError: k outside [1, n].
-        NonFiniteError: points contain NaN/Inf.
+        ValueError: k outside [1, n], or points contain NaN/Inf.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
     n = points.shape[0]
     if not 1 <= k <= n:
-        raise InvalidKError(f"k={k} outside [1, {n}]")
+        raise ValueError(f"k={k} outside [1, {n}]")
     if not np.all(np.isfinite(points)):
-        raise NonFiniteError("points contain non-finite entries")
+        raise ValueError("points contain non-finite entries")
 
     runs = (
         _lloyd(points, k, np.random.default_rng(cfg.seed + restart), cfg.max_iter)

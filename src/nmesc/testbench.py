@@ -17,21 +17,11 @@ from .diarization import _optimal_mapping
 
 __all__ = [
     "SynthSpec",
-    "InfeasibleSpecError",
-    "LengthMismatchError",
     "generate",
     "best_map_accuracy",
 ]
 
 _MIN_CENTROID_ANGLE_COS = 0.5  # pairwise centroid angle >= 60 degrees
-
-
-class InfeasibleSpecError(ValueError):
-    """Cannot place that many centroids at the required separation in this dimension."""
-
-
-class LengthMismatchError(ValueError):
-    """Label sequences differ in length."""
 
 
 @dataclass(frozen=True)
@@ -55,8 +45,8 @@ class SynthSpec:
             raise ValueError("n_clusters must be >= 1")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not 0 <= self.noise < np.inf:  # NaN fails both comparisons
+            raise ValueError("noise must be a finite number >= 0")
         if isinstance(self.segments_per_cluster, tuple):
             lo, hi = self.segments_per_cluster
             if not 1 <= lo <= hi:
@@ -73,7 +63,7 @@ def _draw_centroids(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     budget = 200 * spec.n_clusters
     while len(centroids) < spec.n_clusters:
         if attempts >= budget:
-            raise InfeasibleSpecError(
+            raise ValueError(
                 f"could not place {spec.n_clusters} centroids at >= 60 degrees pairwise "
                 f"in dimension {spec.dim} after {budget} draws"
             )
@@ -98,7 +88,7 @@ def generate(spec: SynthSpec) -> tuple[EmbeddingSequence, np.ndarray]:
         (embedding sequence, ground-truth label per segment)
 
     Raises:
-        InfeasibleSpecError: the centroid separation cannot be met.
+        ValueError: the centroid separation cannot be met.
     """
     rng = np.random.default_rng(spec.seed)
     centroids = _draw_centroids(spec, rng)
@@ -136,14 +126,14 @@ def best_map_accuracy(pred, truth) -> float:
     """Highest matching fraction over all one-to-one label maps (any number of labels).
 
     Raises:
-        LengthMismatchError: sequences differ in length.
+        ValueError: sequences differ in shape, are not 1-d, or are empty.
     """
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape or pred.ndim != 1:
-        raise LengthMismatchError(f"label shapes differ: {pred.shape} vs {truth.shape}")
+        raise ValueError(f"label shapes differ: {pred.shape} vs {truth.shape}")
     if pred.size == 0:
-        raise LengthMismatchError("empty label sequences")
+        raise ValueError("empty label sequences")
     counts = Counter(zip(truth.tolist(), pred.tolist()))
     matched = sum(counts[(t, p)] for p, t in _optimal_mapping(counts).items())
     return matched / pred.size

@@ -32,6 +32,15 @@ def _synth(tmp_path, clusters=3, per_cluster=10, dim=16, noise=0.1, seed=42, tag
     return out, truth
 
 
+def _strict_json(path):
+    """Load a JSON file, refusing the NaN and Infinity that json.loads takes by default."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_synth_writes_headerless_jsonl_and_truth(tmp_path) -> None:
     out, truth = _synth(tmp_path, clusters=3, per_cluster=10)
     lines = out.read_text().splitlines()
@@ -46,6 +55,14 @@ def test_synth_same_seed_byte_identical(tmp_path) -> None:
     out2, truth2 = _synth(tmp_path, seed=7, tag="b")
     assert out1.read_bytes() == out2.read_bytes()
     assert truth1.read_bytes() == truth2.read_bytes()
+
+
+def test_synth_manifest_is_strict_json(tmp_path) -> None:
+    out, _ = _synth(tmp_path, clusters=2, per_cluster=4, dim=8, noise=0.25, seed=3)
+    manifest = _strict_json(tmp_path / f"{out.name}.manifest.json")
+    assert manifest["command"] == "synth"
+    assert manifest["config"] == {"clusters": 2, "per_cluster": 4, "dim": 8, "noise": 0.25, "seed": 3}
+    assert manifest["inputs"] == {}
 
 
 def test_synth_infeasible_exits_one(tmp_path, capsys) -> None:
@@ -104,7 +121,7 @@ def test_cluster_manifest_snapshot(tmp_path) -> None:
     emb, _ = _synth(tmp_path, clusters=2, per_cluster=10, dim=8)
     out = tmp_path / "out.rttm"
     assert main(["cluster", "--embeddings", str(emb), "--out", str(out)]) == 0
-    manifest = json.loads((tmp_path / "out.rttm.manifest.json").read_text())
+    manifest = _strict_json(tmp_path / "out.rttm.manifest.json")
     assert manifest["command"] == "cluster"
     assert manifest["config"]["epsilon"] == 1e-10
     assert manifest["config"]["max_speakers"] == 8
@@ -148,6 +165,8 @@ def test_cluster_usage_errors_exit_two(tmp_path) -> None:
         ["score", "--ref", missing, "--hyp", missing, "--collar", "-1"],
         ["synth", "--clusters", "0", "--per-cluster", "2", "--dim", "4", *synth_out],
         ["synth", "--clusters", "2", "--per-cluster", "2", "--dim", "4", "--seed", "-1", *synth_out],
+        ["synth", "--clusters", "2", "--per-cluster", "2", "--dim", "4", "--noise", "nan", *synth_out],
+        ["synth", "--clusters", "2", "--per-cluster", "2", "--dim", "4", "--noise", "inf", *synth_out],
     ]:
         with pytest.raises(SystemExit) as err:
             main(argv)
