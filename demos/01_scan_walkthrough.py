@@ -19,6 +19,7 @@ nme_probes walk over the skipped p computes after the scan.
 import numpy as np
 
 from nmesc import NmeConfig, SynthSpec, best_map_accuracy, cosine_affinity, generate, nme_probes, nme_sc, nme_scan
+from nmesc.nme import _EPSILON  # the epsilon of g_p and r_p, a fixed constant (1e-10)
 
 spec = SynthSpec(n_clusters=3, segments_per_cluster=40, dim=32, noise=0.12, seed=14)
 emb, truth = generate(spec)
@@ -33,7 +34,7 @@ last = max([e.p for e in scan.entries] + list(skipped))
 print(f"{'p':>4} {'g_p':>10} {'r_p':>14} {'k(p)':>5}   exact r_p")
 for p in range(1, last + 1):
     if p in skipped:
-        reason = "  (>= m components: r_p = p/epsilon)" if skipped[p] == p / cfg.epsilon else ""
+        reason = "  (>= m components: r_p = p/epsilon)" if skipped[p] == p / _EPSILON else ""
         print(f"{p:>4} {'skipped':>10} {'>= ' + format(skipped[p], '.4f'):>14} {'':>5}   {exact[p]:.4f}{reason}")
         continue
     entry = scan.entry_at(p)

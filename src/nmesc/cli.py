@@ -26,7 +26,7 @@ from .diarization import (
     write_embeddings,
     write_rttm,
 )
-from .nme import NjwConfig, NmeConfig, NmeScan, nme_sc, njw_sc
+from .nme import _EPSILON, NjwConfig, NmeConfig, NmeScan, nme_sc, njw_sc
 from .numerics import NoConvergenceError
 from .testbench import SynthSpec, generate
 
@@ -58,10 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--out", required=True, help="output RTTM path")
     cluster.add_argument("--method", choices=["nme-sc", "njw-sc"], default="nme-sc")
     cluster.add_argument("--fixed-k", type=int, default=None, help="known speaker count override")
-    cluster.add_argument("--max-speakers", type=int, default=8)
+    cluster.add_argument("--max-speakers", type=int, default=NmeConfig.max_speakers)
     cluster.add_argument("--p-max", type=int, default=None, help="scan upper bound (default N//4)")
     cluster.add_argument("--sigma", type=float, default=None, help="kernel scale (njw-sc only)")
-    cluster.add_argument("--seed", type=int, default=42)
+    cluster.add_argument("--seed", type=int, default=NmeConfig.seed)
     cluster.add_argument("--scan-out", default=None, help="write the p-scan as CSV (nme-sc only)")
 
     score = sub.add_parser("score", help="score a hypothesis RTTM against a reference")
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--per-cluster", type=int, required=True)
     synth.add_argument("--dim", type=int, required=True)
     synth.add_argument("--noise", type=float, default=0.1)
-    synth.add_argument("--seed", type=int, default=42)
+    synth.add_argument("--seed", type=int, default=SynthSpec.seed)
     synth.add_argument("--out", required=True, help="output embedding JSONL path")
     synth.add_argument("--truth-out", required=True, help="ground-truth RTTM path")
     return parser
@@ -102,7 +102,7 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         result, scan = njw_sc(emb, cfg), None
     config = {
         "method": args.method,
-        "epsilon": None if scan is None else cfg.epsilon,
+        "epsilon": None if scan is None else _EPSILON,
         "p_max": None if scan is None else scan.p_max,
         "sigma": cfg.sigma if scan is None else None,
         **shared,

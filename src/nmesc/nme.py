@@ -22,7 +22,7 @@ from .affinity import (
     kernel_affinity,
 )
 from .diarization import DiarizationResult
-from .numerics import EigenSystem, KMeansConfig, eigh, eigvalsh, kmeans
+from .numerics import EigenSystem, eigh, eigvalsh, kmeans
 
 __all__ = [
     "NmeConfig",
@@ -56,21 +56,18 @@ def _check_shared_settings(max_speakers: int, fixed_k: int | None, seed: int) ->
 class NmeConfig:
     """Auto-tuner settings; the defaults require no tuning on any dataset.
 
-    epsilon guards divisions (both in g_p's denominator and the ratio);
     p_max defaults to floor(N/4); max_speakers caps the eigengap search
     window; fixed_k overrides the estimated cluster count for the
-    known-speaker-count protocol while p-hat is still auto-selected.
+    known-speaker-count protocol while p-hat is still auto-selected; seed
+    drives k-means. NjwConfig and the CLI take their defaults from here.
     """
 
-    epsilon: float = 1e-10
     p_max: int | None = None
     max_speakers: int = 8
     fixed_k: int | None = None
     seed: int = 42
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be a positive finite number")
         if self.p_max is not None and self.p_max < 1:
             raise ValueError("p_max must be >= 1 when set")
         _check_shared_settings(self.max_speakers, self.fixed_k, self.seed)
@@ -82,8 +79,8 @@ class NjwConfig:
 
     sigma: float
     fixed_k: int | None = None
-    max_speakers: int = 8
-    seed: int = 42
+    max_speakers: int = NmeConfig.max_speakers
+    seed: int = NmeConfig.seed
 
     def __post_init__(self):
         _check_sigma(self.sigma)
@@ -205,11 +202,15 @@ def eigengap_vector(values: np.ndarray, limit: int) -> np.ndarray:
     return np.maximum(gaps, 0.0)
 
 
+# The epsilon of g_p = max(gap)/(lambda_max + epsilon) and r_p = p/max(g_p, epsilon), guarding both divisions.
+_EPSILON = 1e-10
+
+
 def _nme_metrics(values: np.ndarray, p: int, cfg: NmeConfig):
     """g_p, r_p and k from one Laplacian spectrum."""
     gaps = eigengap_vector(values, cfg.max_speakers)
-    gp = float(gaps.max()) / (float(values[-1]) + cfg.epsilon)
-    rp = p / max(gp, cfg.epsilon)
+    gp = float(gaps.max()) / (float(values[-1]) + _EPSILON)
+    rp = p / max(gp, _EPSILON)
     k = 1 + int(np.argmax(gaps))  # ties: lowest gap index, i.e. fewest clusters
     return gp, rp, k
 
@@ -241,8 +242,8 @@ def _r_lower_bound(
     top = max(float(lower[-1]), float(lap.diagonal().max()), lap_x_norm)
     delta = _SKIP_MARGIN * (top + 1.0)
     gap_hi = max(float(np.max(theta[1:m] - lower[: m - 1])) + 2.0 * delta, 0.0)
-    gp_hi = gap_hi / (max(top - delta, 0.0) + cfg.epsilon)
-    return p / max(gp_hi, cfg.epsilon)
+    gp_hi = gap_hi / (max(top - delta, 0.0) + _EPSILON)
+    return p / max(gp_hi, _EPSILON)
 
 
 def _component_count(neighbours: np.ndarray) -> int:
@@ -356,13 +357,12 @@ def nme_scan(a: np.ndarray, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     The scan stops before the first p with p * (1 - 1e-9) >= the best r_p so
     far. L is positive semi-definite with lambda_1 = 0, so every gap is <=
     lambda_max, g_q <= 1 and r_q >= q for epsilon <= 1: no later q can beat
-    the best, and ties go to the lower p (for epsilon > 1, r_q = q/epsilon
-    grows with q and p_hat = 1). In floating point the computed lambda_1 can
-    fall below 0 by the solver's error, about N * u * lambda_max (see below),
-    so the computed g_q can exceed 1 by about N * u, some 1e-13 at N = 480;
-    hence the factor 1 - 1e-9. With epsilon = 1e-10 the computed lambda_1 >=
-    -epsilon at N <= 480, so g_q <= 1 as rounding is monotone, but at
-    epsilon = 1e-14 it need not be.
+    the best, and ties go to the lower p. In floating point the computed
+    lambda_1 can fall below 0 by the solver's error, about N * u * lambda_max
+    (see below), so the computed g_q can exceed 1 by about N * u, some 1e-13
+    at N = 480; hence the factor 1 - 1e-9. With epsilon = 1e-10 the computed
+    lambda_1 >= -epsilon at N <= 480, so g_q <= 1 as rounding is monotone,
+    but at epsilon = 1e-14 it need not be.
 
     The scan also skips each p it can prove will not beat the best r_p. Let
     m = min(max_speakers, N - 1) + 1 and w = min(m + 3, N). Before the skip
@@ -420,8 +420,8 @@ def nme_scan(a: np.ndarray, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     about 2 N u = N * eps (eps = 2^-52), whatever the scale of L_p. When
     epsilon >= 100 * N * eps, the computed g_p <= epsilon, so the computed r_p
     = p / max(g_p, epsilon) is exactly p/epsilon, the bound; below that floor
-    (epsilon = 1e-14, say) such p are left to eigvalsh. The default epsilon =
-    1e-10 clears the floor up to N = 4500. A fragmented p never beats the
+    (epsilon = 1e-14, say) such p are left to eigvalsh. epsilon = 1e-10
+    (_EPSILON) clears the floor up to N = 4500. A fragmented p never beats the
     best, as each evaluated q < p has r_q <= q/epsilon < p/epsilon.
 
     Kept entries, p_hat and k_hat equal a full scan's bit for bit.
@@ -440,7 +440,7 @@ def nme_scan(a: np.ndarray, cfg: NmeConfig = NmeConfig()) -> NmeScan:
 
     entries, skipped = [], []
     best = basis = None
-    certifying = cfg.epsilon >= _CERTIFICATE_FLOOR * n * np.finfo(float).eps  # the component certificate
+    certifying = _EPSILON >= _CERTIFICATE_FLOOR * n * np.finfo(float).eps  # the component certificate
     order = descending_order(a, p_max)
     for p, lap in enumerate(_pruned_laplacians(order, p_max), start=1):
         if best is not None and p * (1.0 - _SKIP_MARGIN) >= best.rp:
@@ -448,7 +448,7 @@ def nme_scan(a: np.ndarray, cfg: NmeConfig = NmeConfig()) -> NmeScan:
         if certifying and best is not None:
             certifying = _component_count(order[:, :p]) >= m  # components only merge: once off, off for good
             if certifying:
-                skipped.append((p, p / cfg.epsilon))
+                skipped.append((p, p / _EPSILON))
                 continue
         if basis is not None:
             lap_basis, lap_x = lap @ basis, lap @ x
@@ -501,7 +501,7 @@ def nme_sc(emb: EmbeddingSequence, cfg: NmeConfig = NmeConfig()) -> tuple[Diariz
 
 def _cluster_rows(emb: EmbeddingSequence, points: np.ndarray, k: int, seed: int) -> DiarizationResult:
     """k-means on the spectral rows, one per segment of emb, as a labeled timeline."""
-    km = kmeans(points, k, KMeansConfig(seed=seed))
+    km = kmeans(points, k, seed)
     return DiarizationResult(emb.recording_id, emb.starts, emb.ends, km.labels)
 
 

@@ -7,13 +7,12 @@ input, and every source of k-means randomness flows from one explicit seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "EigenSystem",
-    "KMeansConfig",
     "KMeansResult",
     "NoConvergenceError",
     "eigh",
@@ -114,41 +113,22 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
     return _solve_symmetric(np.linalg.eigvalsh, m)
 
 
-@dataclass(frozen=True)
-class KMeansConfig:
-    """Knobs for the Lloyd/k-means++ clusterer.
-
-    seed drives every random choice; per-restart generators derive from
-    ``seed + restart index`` so restarts can run in any order.
-    """
-
-    seed: int = 42
-    restarts: int = 10
-    max_iter: int = 300
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+# k-means runs this many k-means++ seeded restarts, each of at most this many centroid updates.
+_RESTARTS = 10
+_MAX_ITER = 300
 
 
 @dataclass(frozen=True)
 class KMeansResult:
-    """Labels, centroids and the inertia of the best restart.
-
-    inertia_history tracks the winning restart's inertia after each
-    assignment step; Lloyd guarantees it is non-increasing.
-    """
+    """Labels, centroids and the inertia of the best restart."""
 
     labels: np.ndarray
     centroids: np.ndarray
     inertia: float
-    inertia_history: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
         _freeze(self, int, labels=self.labels)
-        _freeze(self, centroids=self.centroids, inertia_history=self.inertia_history)
+        _freeze(self, centroids=self.centroids)
 
 
 def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -193,38 +173,37 @@ def _repair_empty(new_labels: np.ndarray, d2: np.ndarray, k: int) -> None:
         d2[donor, :] = 0.0  # its new centroid will sit on it
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
+def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator):
     n = points.shape[0]
     centers = _kmeans_pp_init(points, k, rng)
     labels = np.full(n, -1, dtype=int)
-    history: list[float] = []
-    for passes in range(1, max_iter + 2):
+    for passes in range(1, _MAX_ITER + 2):
         d2 = _sq_distances(points, centers)
         new_labels = np.argmin(d2, axis=1)  # ties: lowest centroid index
         _repair_empty(new_labels, d2, k)
-        history.append(float(d2[np.arange(n), new_labels].sum()))
-        # A pass after max_iter centroid updates only re-assigns, so the labels
+        # A pass after _MAX_ITER centroid updates only re-assigns, so the labels
         # stay consistent with the centroids actually returned.
-        if passes > max_iter or np.array_equal(new_labels, labels):
+        if passes > _MAX_ITER or np.array_equal(new_labels, labels):
             break
         labels = new_labels
         for j in range(k):
             centers[j] = points[labels == j].mean(axis=0)
     inertia = float(_sq_distances(points, centers)[np.arange(n), new_labels].sum())
-    return new_labels, centers, inertia, np.asarray(history)
+    return new_labels, centers, inertia
 
 
-def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig = KMeansConfig()) -> KMeansResult:
+def kmeans(points: np.ndarray, k: int, seed: int = 42) -> KMeansResult:
     """Cluster row vectors with restarted Lloyd iterations.
 
-    Runs ``cfg.restarts`` independent k-means++ seeded Lloyd passes and
-    keeps the one with minimal inertia (lowest restart index on ties).
-    Deterministic for a fixed ``cfg.seed``.
+    Runs _RESTARTS (10) independent k-means++ seeded Lloyd passes of at most
+    _MAX_ITER (300) centroid updates each, and keeps the one with minimal
+    inertia (lowest restart index on ties). Restart i draws from a generator
+    seeded with ``seed + i``, so the result is a function of the seed.
 
     Args:
         points: (n, d) matrix, one observation per row.
         k: number of clusters, 1 <= k <= n.
-        cfg: seeding/restart configuration.
+        seed: seed of the first restart's generator.
 
     Raises:
         ValueError: k outside [1, n], or points contain NaN/Inf.
@@ -238,9 +217,6 @@ def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig = KMeansConfig()) -> KM
     if not np.all(np.isfinite(points)):
         raise ValueError("points contain non-finite entries")
 
-    runs = (
-        _lloyd(points, k, np.random.default_rng(cfg.seed + restart), cfg.max_iter)
-        for restart in range(cfg.restarts)
-    )
+    runs = (_lloyd(points, k, np.random.default_rng(seed + restart)) for restart in range(_RESTARTS))
     # _lloyd returns KMeansResult's fields in order; min keeps the first of equal inertias.
     return KMeansResult(*min(runs, key=lambda run: run[2]))

@@ -2,8 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 Criteria 2 and 3 share one 100-trial synthetic corpus (module-scoped fixture);
-criterion 2's 60-second budget covers exactly the trial generation plus the
-production pipeline runs.
+criterion 2's 60-second wall-clock budget covers exactly the trial generation
+plus the production pipeline runs. Its line also prints the process CPU time of
+those runs: on a loaded host the wall time exceeds it by far, on a slow build
+both grow.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 import pytest
 
 from nmesc import (
-    KMeansConfig,
     NmeConfig,
     SynthSpec,
     best_map_accuracy,
@@ -33,7 +34,7 @@ from nmesc import (
     symmetrize,
     unnormalized_laplacian,
 )
-from nmesc import RttmRecord
+from nmesc import RttmRecord, numerics
 from nmesc.cli import main as cli_main
 from conftest import random_embeddings
 from oracles import (
@@ -63,7 +64,7 @@ class Trial:
 
 
 @pytest.fixture(scope="module")
-def corpus() -> tuple[list[Trial], float]:
+def corpus() -> tuple[list[Trial], float, float]:
     rng = np.random.default_rng(20260811)
     specs = []
     for i in range(100):
@@ -71,14 +72,13 @@ def corpus() -> tuple[list[Trial], float]:
         specs.append(
             (k, SynthSpec(n_clusters=k, segments_per_cluster=(30, 60), dim=64, noise=0.1, seed=1000 + i))
         )
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), time.process_time()
     trials = []
     for k, spec in specs:
         emb, truth = generate(spec)
         result, scan = nme_sc(emb, NmeConfig())
         trials.append(Trial(true_k=k, emb=emb, truth=truth, result=result, scan=scan))
-    elapsed = time.perf_counter() - t0
-    return trials, elapsed
+    return trials, time.perf_counter() - t0, time.process_time() - cpu0
 
 
 def test_criterion_1_full_corpus_results_out_of_scope() -> None:
@@ -89,7 +89,7 @@ def test_criterion_1_full_corpus_results_out_of_scope() -> None:
 
 
 def test_criterion_2_k_recovery(corpus) -> None:
-    trials, elapsed = corpus
+    trials, elapsed, cpu = corpus
     recovered = [t for t in trials if t.scan.k_hat == t.true_k]
     accs = [best_map_accuracy(t.result.labels, t.truth) for t in recovered]
     ok = len(recovered) >= 95 and min(accs) >= 0.99 and elapsed < 60.0
@@ -97,14 +97,15 @@ def test_criterion_2_k_recovery(corpus) -> None:
         2,
         ok,
         f"k recovered in {len(recovered)}/100 trials, min accuracy on those "
-        f"{min(accs):.4f}, pipeline time {elapsed:.1f}s (< 60s)",
+        f"{min(accs):.4f}, pipeline time {elapsed:.1f}s (< 60s), CPU time {cpu:.1f}s",
     )
     assert ok
 
 
-def test_criterion_3_rp_is_error_proxy(corpus) -> None:
-    trials, _ = corpus
+def test_criterion_3_rp_is_error_proxy(corpus, monkeypatch) -> None:
+    trials, _, _ = corpus
     cfg = NmeConfig()
+    monkeypatch.setattr(numerics, "_RESTARTS", 4)  # after the corpus fixture's nme_sc runs, which use the default
     within = 0
     worst_gap = 0.0
     for t in trials:
@@ -113,7 +114,7 @@ def test_criterion_3_rp_is_error_proxy(corpus) -> None:
         best_err = err_hat
         for probe in nme_probes(a, range(1, t.scan.p_max + 1), cfg):
             points = spectral_embedding(probe.eigensystem, probe.k_at_p)
-            km = kmeans(points, probe.k_at_p, KMeansConfig(seed=cfg.seed, restarts=4))
+            km = kmeans(points, probe.k_at_p, cfg.seed)
             best_err = min(best_err, 1.0 - best_map_accuracy(km.labels, t.truth))
         gap = err_hat - best_err
         worst_gap = max(worst_gap, gap)
@@ -149,7 +150,7 @@ def test_criterion_4_spectral_invariant_suite() -> None:
                      "components, self-loop invariance exact, gp/rp bounds")
 
 
-def test_criterion_5_numerics_oracles() -> None:
+def test_criterion_5_numerics_oracles(monkeypatch) -> None:
     rng = np.random.default_rng(5)
     worst_eig = 0.0
     for _ in range(200):
@@ -162,11 +163,12 @@ def test_criterion_5_numerics_oracles() -> None:
     assert worst_eig <= 1e-8
 
     km_fails = 0
+    monkeypatch.setattr(numerics, "_RESTARTS", 20)
     for i in range(100):
         n = int(rng.integers(4, 11))
         k = int(rng.integers(1, 4))
         pts = rng.standard_normal((n, 2))
-        got = kmeans(pts, k, KMeansConfig(seed=500 + i, restarts=20)).inertia
+        got = kmeans(pts, k, seed=500 + i).inertia
         want = brute_force_kmeans_inertia(pts, k)
         if abs(got - want) > 1e-9 * max(1.0, want):
             km_fails += 1

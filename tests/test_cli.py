@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -297,6 +298,33 @@ def test_cluster_repeat_runs_byte_identical_on_drawn_corpora(tmp_path_factory, s
     tmp_path = tmp_path_factory.mktemp("repeat")
     emb, _ = _synth(tmp_path, clusters=speakers, per_cluster=per_speaker, dim=16, seed=seed)
     _assert_repeat_clusters_byte_identical(tmp_path, emb)
+
+
+def test_cluster_outputs_at_one_and_two_blas_threads(tmp_path) -> None:
+    # OpenBLAS fixes its thread count when it loads, hence one fresh interpreter per count. The
+    # last bits of the spectra move with it; of all the outputs, only the g_p and r_p digits may.
+    emb, _ = _synth(tmp_path, clusters=6, per_cluster=64, dim=192, noise=0.15, seed=1)
+    decided, digits = [], []
+    for threads in ("1", "2"):
+        out, csv = tmp_path / f"hyp{threads}.rttm", tmp_path / f"scan{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nmesc", "cluster", "--embeddings", str(emb), "--out", str(out),
+             "--scan-out", str(csv)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = csv.read_text().splitlines()
+        assert header == "p,g_p,r_p,k_at_p"
+        table = [row.split(",") for row in rows if not row.startswith("#")]
+        footer = [row for row in rows if row.startswith("#")]
+        manifest = (tmp_path / f"hyp{threads}.rttm.manifest.json").read_bytes()
+        decided.append((out.read_bytes(), manifest, [(p, k) for p, _, _, k in table], footer))
+        digits.append([float(v) for _, gp, rp, _ in table for v in (gp, rp)])
+    assert decided[0] == decided[1]
+    assert len(decided[0][2]) > 1
+    assert digits[0] == pytest.approx(digits[1], rel=1e-9)
 
 
 def test_module_invocation_subprocess(tmp_path) -> None:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -353,15 +354,16 @@ def test_nme_scan_invariants(a, max_speakers, p_max) -> None:
 
 def _full_reference_scan(a: np.ndarray, cfg: NmeConfig, p_max: int) -> list:
     """(p, g_p, r_p, k_at_p) at every p <= p_max through the public chain, no stop."""
+    epsilon = nmesc.nme._EPSILON
     rows = []
     for p in range(1, p_max + 1):
         values = eigvalsh(unnormalized_laplacian(symmetrize(binarize(a, p))))
-        if cfg.epsilon >= 1e-10:  # the condition under which g_p <= 1, so r_p >= p
-            assert values[0] >= -cfg.epsilon
+        if epsilon >= 1e-10:  # the condition under which g_p <= 1, so r_p >= p
+            assert values[0] >= -epsilon
         gaps = eigengap_vector(values, cfg.max_speakers)
-        gp = float(gaps.max()) / (float(values[-1]) + cfg.epsilon)
-        rp = p / max(gp, cfg.epsilon)
-        assert rp >= p * (1 - _SKIP_MARGIN) / max(1.0, cfg.epsilon)  # what the early stop relies on
+        gp = float(gaps.max()) / (float(values[-1]) + epsilon)
+        rp = p / max(gp, epsilon)
+        assert rp >= p * (1 - _SKIP_MARGIN) / max(1.0, epsilon)  # what the early stop relies on
         rows.append((p, gp, rp, 1 + int(np.argmax(gaps))))
     return rows
 
@@ -384,9 +386,10 @@ def _assert_scan_matches_full_scan(a: np.ndarray, cfg: NmeConfig):
     best = min(ref, key=lambda row: (row[2], row[0]))
     assert scan.p_hat == best[0]
     assert scan.k_hat == (cfg.fixed_k if cfg.fixed_k is not None else min(best[3], cfg.max_speakers))
+    epsilon = nmesc.nme._EPSILON
     for p, _, rp, _ in ref[p_last:]:
-        if cfg.epsilon >= 1e-10:
-            assert rp >= p / max(1.0, cfg.epsilon)  # r_p >= p for epsilon <= 1
+        if epsilon >= 1e-10:
+            assert rp >= p / max(1.0, epsilon)  # r_p >= p for epsilon <= 1
         assert p * (1 - _SKIP_MARGIN) >= best[2]
     return scan
 
@@ -415,8 +418,8 @@ def _clustered_affinities(draw) -> np.ndarray:
     epsilon=st.sampled_from([1e-14, 1e-10, 1e-3, 2.0]),
 )
 def test_nme_scan_early_stop_equals_full_scan(a, max_speakers, p_max, epsilon) -> None:
-    cfg = NmeConfig(epsilon=epsilon, p_max=p_max, max_speakers=max_speakers)
-    _assert_scan_matches_full_scan(a, cfg)
+    with mock.patch.object(nmesc.nme, "_EPSILON", epsilon):
+        _assert_scan_matches_full_scan(a, NmeConfig(p_max=p_max, max_speakers=max_speakers))
 
 
 def test_nme_scan_early_stop_equals_full_scan_on_a_meeting() -> None:
@@ -556,7 +559,7 @@ def test_nme_scan_does_not_solve_an_all_zero_laplacian(monkeypatch) -> None:
     assert solved == [e.p for e in scan.entries[1:]]
 
 
-def test_nme_scan_skips_fragmented_p_at_their_exact_r() -> None:
+def test_nme_scan_skips_fragmented_p_at_their_exact_r(monkeypatch) -> None:
     # A p whose graph has >= m components has a zero window of gaps, so the
     # public chain's r_p is exactly p/epsilon: the bound the scan records.
     # With m - 1 components one gap in the window is positive, r_p < p/epsilon.
@@ -566,7 +569,8 @@ def test_nme_scan_skips_fragmented_p_at_their_exact_r() -> None:
         emb, _ = generate(SynthSpec(n_clusters=k, segments_per_cluster=per, dim=64, noise=0.15, seed=seed))
         a = cosine_affinity(emb)
         for epsilon, max_speakers in itertools.product((1e-10, 1e-3), (k, 8)):
-            cfg = NmeConfig(epsilon=epsilon, max_speakers=max_speakers)
+            monkeypatch.setattr(nmesc.nme, "_EPSILON", epsilon)
+            cfg = NmeConfig(max_speakers=max_speakers)
             m = min(cfg.max_speakers, a.shape[0] - 1) + 1
             for p, bound in nme_scan(a, cfg).skipped:
                 sym = symmetrize(binarize(a, p))
@@ -578,12 +582,13 @@ def test_nme_scan_skips_fragmented_p_at_their_exact_r() -> None:
     assert fragmented >= 16  # p = 2 at least, on every corpus and setting
 
 
-def test_nme_scan_leaves_fragmented_p_to_eigvalsh_below_the_epsilon_floor() -> None:
+def test_nme_scan_leaves_fragmented_p_to_eigvalsh_below_the_epsilon_floor(monkeypatch) -> None:
     emb, _ = generate(SynthSpec(n_clusters=4, segments_per_cluster=75, dim=192, noise=0.15, seed=1))
     a = cosine_affinity(emb)
     assert 1e-14 < _CERTIFICATE_FLOOR * a.shape[0] * np.finfo(float).eps < 1e-10
     assert 2 in dict(nme_scan(a, NmeConfig()).skipped)
-    assert nme_scan(a, NmeConfig(epsilon=1e-14)).entries[1].p == 2
+    monkeypatch.setattr(nmesc.nme, "_EPSILON", 1e-14)
+    assert nme_scan(a, NmeConfig()).entries[1].p == 2
 
 
 def test_top_vector_norm_is_a_lower_bound_on_lambda_max() -> None:
@@ -777,9 +782,6 @@ def test_nme_scan_entry_at_looks_up_by_p() -> None:
 
 
 def test_nme_config_validation() -> None:
-    for epsilon in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="^epsilon must be a positive finite number$"):
-            NmeConfig(epsilon=epsilon)
     with pytest.raises(ValueError, match="^p_max must be >= 1 when set$"):
         NmeConfig(p_max=0)
 

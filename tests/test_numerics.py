@@ -7,12 +7,12 @@ from nmesc import (
     DiarizationResult,
     EigenSystem,
     EmbeddingSequence,
-    KMeansConfig,
     KMeansResult,
     NoConvergenceError,
     eigh,
     kmeans,
 )
+from nmesc import numerics
 from oracles import bisection_eigenvalues, brute_force_kmeans_inertia
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -26,11 +26,7 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _ARRAY_RECORDS = [
     (EmbeddingSequence, {"starts": [0.0, 1.0], "ends": [1.0, 2.0], "vectors": [[1.0, 0.0], [0.0, 1.0]]}, {}),
     (EigenSystem, {"values": [0.0, 2.0], "vectors": [[1.0, 0.0], [0.0, 1.0]]}, {}),
-    (
-        KMeansResult,
-        {"labels": [0, 1], "centroids": [[0.0], [1.0]], "inertia_history": [1.0, 0.0]},
-        {"inertia": 0.0},
-    ),
+    (KMeansResult, {"labels": [0, 1], "centroids": [[0.0], [1.0]]}, {"inertia": 0.0}),
     (DiarizationResult, {"starts": [0.0, 1.0], "ends": [1.0, 2.0], "labels": [0, 1]}, {"recording_id": "r"}),
 ]
 
@@ -182,7 +178,7 @@ def test_eigvalsh_matches_eigh_and_validates() -> None:
 
 def test_kmeans_separated_pairs() -> None:
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]])
-    res = kmeans(pts, 2, KMeansConfig(seed=0))
+    res = kmeans(pts, 2, seed=0)
     assert res.labels[0] == res.labels[1]
     assert res.labels[2] == res.labels[3]
     assert res.labels[0] != res.labels[2]
@@ -192,33 +188,40 @@ def test_kmeans_separated_pairs() -> None:
 def test_kmeans_k_equals_n() -> None:
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((6, 3))
-    res = kmeans(pts, 6, KMeansConfig(seed=1))
+    res = kmeans(pts, 6, seed=1)
     assert res.inertia == pytest.approx(0.0, abs=1e-12)
     assert sorted(res.labels) == list(range(6))
 
 
-def test_kmeans_matches_exhaustive_enumeration() -> None:
+def test_kmeans_matches_exhaustive_enumeration(monkeypatch) -> None:
     rng = np.random.default_rng(7)
     pts = rng.standard_normal((8, 2))
-    res = kmeans(pts, 3, KMeansConfig(seed=7, restarts=20))
+    monkeypatch.setattr(numerics, "_RESTARTS", 20)
+    res = kmeans(pts, 3, seed=7)
     assert res.inertia == pytest.approx(brute_force_kmeans_inertia(pts, 3), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_kmeans_inertia_history_nonincreasing(seed: int) -> None:
+def test_kmeans_inertia_history_nonincreasing(monkeypatch, seed: int) -> None:
+    # One restart capped at 0, 1, 2, ... centroid updates returns the inertia of each of its assignment passes in turn.
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((40, 3))
-    res = kmeans(pts, 4, KMeansConfig(seed=seed))
-    assert np.all(np.diff(res.inertia_history) <= 1e-12)
+    monkeypatch.setattr(numerics, "_RESTARTS", 1)
+    history = []
+    for cap in range(31):
+        monkeypatch.setattr(numerics, "_MAX_ITER", cap)
+        history.append(kmeans(pts, 4, seed=seed).inertia)
+    assert np.all(np.diff(history) <= 1e-12)
+    assert history[-1] == history[-2]  # converged within the caps tried
 
 
-def test_kmeans_restart_reduction_is_min() -> None:
+def test_kmeans_restart_reduction_is_min(monkeypatch) -> None:
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((30, 2))
-    multi = kmeans(pts, 3, KMeansConfig(seed=100, restarts=8))
-    singles = [
-        kmeans(pts, 3, KMeansConfig(seed=100 + i, restarts=1)).inertia for i in range(8)
-    ]
+    monkeypatch.setattr(numerics, "_RESTARTS", 8)
+    multi = kmeans(pts, 3, seed=100)
+    monkeypatch.setattr(numerics, "_RESTARTS", 1)
+    singles = [kmeans(pts, 3, seed=100 + i).inertia for i in range(8)]
     assert multi.inertia == min(singles)
 
 
@@ -226,15 +229,15 @@ def test_kmeans_translation_leaves_labels_unchanged() -> None:
     rng = np.random.default_rng(13)
     pts = rng.standard_normal((25, 4))
     shift = np.array([3.7, -1.2, 0.5, 8.0])
-    a = kmeans(pts, 3, KMeansConfig(seed=2))
-    b = kmeans(pts + shift, 3, KMeansConfig(seed=2))
+    a = kmeans(pts, 3, seed=2)
+    b = kmeans(pts + shift, 3, seed=2)
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_kmeans_labels_are_nearest_centroid_and_cover_range() -> None:
     rng = np.random.default_rng(17)
     pts = rng.standard_normal((30, 2))
-    res = kmeans(pts, 4, KMeansConfig(seed=3))
+    res = kmeans(pts, 4, seed=3)
     assert set(res.labels.tolist()) == {0, 1, 2, 3}
     d2 = ((pts[:, None, :] - res.centroids[None, :, :]) ** 2).sum(-1)
     assert np.array_equal(res.labels, np.argmin(d2, axis=1))
@@ -243,7 +246,7 @@ def test_kmeans_labels_are_nearest_centroid_and_cover_range() -> None:
 
 def test_kmeans_duplicate_points_still_fill_every_cluster() -> None:
     pts = np.zeros((5, 2))
-    res = kmeans(pts, 3, KMeansConfig(seed=0))
+    res = kmeans(pts, 3, seed=0)
     assert set(res.labels.tolist()) == {0, 1, 2}
     assert res.inertia == pytest.approx(0.0, abs=0)
 
@@ -258,19 +261,20 @@ def test_kmeans_invalid_inputs() -> None:
         kmeans(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1)
 
 
-def test_kmeans_iteration_cap_keeps_labels_consistent() -> None:
+def test_kmeans_iteration_cap_keeps_labels_consistent(monkeypatch) -> None:
     rng = np.random.default_rng(31)
     pts = rng.standard_normal((50, 3))
-    res = kmeans(pts, 5, KMeansConfig(seed=4, restarts=2, max_iter=1))
+    monkeypatch.setattr(numerics, "_RESTARTS", 2)
+    monkeypatch.setattr(numerics, "_MAX_ITER", 1)
+    res = kmeans(pts, 5, seed=4)
     d2 = ((pts[:, None, :] - res.centroids[None, :, :]) ** 2).sum(-1)
     assert np.array_equal(res.labels, np.argmin(d2, axis=1))
-    assert len(res.inertia_history) == 2  # one centroid update, then the re-assignment
 
 
 def test_kmeans_deterministic() -> None:
     rng = np.random.default_rng(23)
     pts = rng.standard_normal((20, 3))
-    a = kmeans(pts, 3, KMeansConfig(seed=77))
-    b = kmeans(pts, 3, KMeansConfig(seed=77))
+    a = kmeans(pts, 3, seed=77)
+    b = kmeans(pts, 3, seed=77)
     assert np.array_equal(a.labels, b.labels)
     assert a.inertia == b.inertia

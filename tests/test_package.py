@@ -13,7 +13,7 @@ MODULES = (affinity, diarization, nme, numerics, testbench)
 
 
 def test_all_is_the_version_plus_every_module_export_once() -> None:
-    assert len(set(nmesc.__all__)) == len(nmesc.__all__) == 41
+    assert len(set(nmesc.__all__)) == len(nmesc.__all__) == 40
     assert set(nmesc.__all__) == {"__version__"}.union(*(m.__all__ for m in MODULES))
 
 
