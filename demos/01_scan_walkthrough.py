@@ -29,15 +29,16 @@ cfg = NmeConfig()
 a = cosine_affinity(emb)
 scan = nme_scan(a, cfg)
 skipped = dict(scan.skipped)
+evaluated = {e.p: e for e in scan.entries}
 exact = {probe.p: probe.rp for probe in nme_probes(a, skipped, cfg)}
-last = max([e.p for e in scan.entries] + list(skipped))
+last = max([*evaluated, *skipped])
 print(f"{'p':>4} {'g_p':>10} {'r_p':>14} {'k(p)':>5}   exact r_p")
 for p in range(1, last + 1):
     if p in skipped:
         reason = "  (>= m components: r_p = p/epsilon)" if skipped[p] == p / _EPSILON else ""
         print(f"{p:>4} {'skipped':>10} {'>= ' + format(skipped[p], '.4f'):>14} {'':>5}   {exact[p]:.4f}{reason}")
         continue
-    entry = scan.entry_at(p)
+    entry = evaluated[p]
     marker = "  <- p_hat" if entry.p == scan.p_hat else ""
     print(f"{entry.p:>4} {entry.gp:>10.6f} {entry.rp:>14.4f} {entry.k_at_p:>5}{marker}")
 

@@ -35,7 +35,7 @@ with tempfile.TemporaryDirectory(prefix="nmesc-demo-") as tmp:
     )
     print(f"wrote {emb.n} segments to {emb_path.name} and the reference to {truth_path.name}")
 
-    result, scan = nme_sc(load_embeddings(emb_path), NmeConfig(seed=42))
+    result, scan = nme_sc(load_embeddings(emb_path), NmeConfig())
     hyp_path = workdir / "hypothesis.rttm"
     write_rttm(result, hyp_path)
     print(f"auto-tuned p_hat={scan.p_hat}, k_hat={scan.k_hat}; hypothesis -> {hyp_path.name}")

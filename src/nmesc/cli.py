@@ -20,13 +20,14 @@ from pathlib import Path
 from . import __version__
 from .diarization import (
     DiarizationResult,
+    _check_collar,
     load_embeddings,
     load_rttm,
     score_recordings,
     write_embeddings,
     write_rttm,
 )
-from .nme import _EPSILON, NjwConfig, NmeConfig, NmeScan, nme_sc, njw_sc
+from .nme import _EPSILON, _SEED, NjwConfig, NmeConfig, NmeScan, nme_sc, njw_sc
 from .numerics import NoConvergenceError
 from .testbench import SynthSpec, generate
 
@@ -59,9 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--method", choices=["nme-sc", "njw-sc"], default="nme-sc")
     cluster.add_argument("--fixed-k", type=int, default=None, help="known speaker count override")
     cluster.add_argument("--max-speakers", type=int, default=NmeConfig.max_speakers)
-    cluster.add_argument("--p-max", type=int, default=None, help="scan upper bound (default N//4)")
     cluster.add_argument("--sigma", type=float, default=None, help="kernel scale (njw-sc only)")
-    cluster.add_argument("--seed", type=int, default=NmeConfig.seed)
     cluster.add_argument("--scan-out", default=None, help="write the p-scan as CSV (nme-sc only)")
 
     score = sub.add_parser("score", help="score a hypothesis RTTM against a reference")
@@ -86,10 +85,10 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         parser.error("--method njw-sc requires --sigma")
     if args.method == "njw-sc" and args.scan_out is not None:
         parser.error("--scan-out is only produced by --method nme-sc")
-    shared = dict(max_speakers=args.max_speakers, fixed_k=args.fixed_k, seed=args.seed)
+    shared = dict(max_speakers=args.max_speakers, fixed_k=args.fixed_k)
     try:
         if args.method == "nme-sc":
-            cfg = NmeConfig(p_max=args.p_max, **shared)
+            cfg = NmeConfig(**shared)
         else:
             cfg = NjwConfig(sigma=args.sigma, **shared)
     except ValueError as exc:
@@ -105,6 +104,7 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         "epsilon": None if scan is None else _EPSILON,
         "p_max": None if scan is None else scan.p_max,
         "sigma": cfg.sigma if scan is None else None,
+        "seed": _SEED,
         **shared,
     }
 
@@ -118,8 +118,10 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if not 0 <= args.collar < float("inf"):
-        parser.error("--collar must be a finite number >= 0")
+    try:
+        _check_collar(args.collar)
+    except ValueError as exc:
+        parser.error(str(exc))
     ref = load_rttm(args.ref)
     hyp = load_rttm(args.hyp)
     aggregate, per_recording = score_recordings(ref, hyp, collar=args.collar, score_overlap=args.overlap)

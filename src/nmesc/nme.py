@@ -42,35 +42,30 @@ __all__ = [
 ]
 
 
-def _check_shared_settings(max_speakers: int, fixed_k: int | None, seed: int) -> None:
-    """The settings rule NmeConfig and NjwConfig share: the speaker cap, the known count and the seed."""
+def _check_shared_settings(max_speakers: int, fixed_k: int | None) -> None:
+    """The settings rule NmeConfig and NjwConfig share: the speaker cap and the known count."""
     if max_speakers < 1:
         raise ValueError("max_speakers must be >= 1")
     if fixed_k is not None and not 1 <= fixed_k <= max_speakers:
         raise ValueError(f"fixed_k must be in [1, {max_speakers}]")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
 class NmeConfig:
     """Auto-tuner settings; the defaults require no tuning on any dataset.
 
-    p_max defaults to floor(N/4); max_speakers caps the eigengap search
-    window; fixed_k overrides the estimated cluster count for the
-    known-speaker-count protocol while p-hat is still auto-selected; seed
-    drives k-means. NjwConfig and the CLI take their defaults from here.
+    max_speakers caps the eigengap search window; fixed_k overrides the
+    estimated cluster count for the known-speaker-count protocol while p-hat
+    is still auto-selected. The p search range (_p_cap) and the k-means seed
+    (_SEED) are fixed rules, not settings. NjwConfig and the CLI take their
+    defaults from here.
     """
 
-    p_max: int | None = None
     max_speakers: int = 8
     fixed_k: int | None = None
-    seed: int = 42
 
     def __post_init__(self):
-        if self.p_max is not None and self.p_max < 1:
-            raise ValueError("p_max must be >= 1 when set")
-        _check_shared_settings(self.max_speakers, self.fixed_k, self.seed)
+        _check_shared_settings(self.max_speakers, self.fixed_k)
 
 
 @dataclass(frozen=True)
@@ -80,11 +75,19 @@ class NjwConfig:
     sigma: float
     fixed_k: int | None = None
     max_speakers: int = NmeConfig.max_speakers
-    seed: int = NmeConfig.seed
 
     def __post_init__(self):
         _check_sigma(self.sigma)
-        _check_shared_settings(self.max_speakers, self.fixed_k, self.seed)
+        _check_shared_settings(self.max_speakers, self.fixed_k)
+
+
+# The k-means seed of nme_sc and njw_sc; the CLI manifest records it.
+_SEED = 42
+
+
+def _p_cap(n: int) -> int:
+    """The top of the p search range for N segments: floor(N/4), >= 1 as the scan needs N >= 4."""
+    return n // 4
 
 
 @dataclass(frozen=True)
@@ -132,20 +135,6 @@ class NmeScan:
             raise ValueError(f"p_hat={self.p_hat} is not an evaluated p")
         if self.k_hat < 1:
             raise ValueError("k_hat must be >= 1")
-
-    def entry_at(self, p: int) -> NmeScanEntry:
-        """The entry of an evaluated p.
-
-        Raises:
-            ValueError: p was skipped, or lies outside 1..p_last.
-        """
-        for e in self.entries:
-            if e.p == p:
-                return e
-        for q, bound in self.skipped:
-            if q == p:
-                raise ValueError(f"p={p} was skipped: its r_p is at least {bound}")
-        raise ValueError(f"p={p} was not scanned")
 
 
 @dataclass(frozen=True)
@@ -347,7 +336,7 @@ def nme_at(a: np.ndarray, p: int, cfg: NmeConfig = NmeConfig()) -> NmeProbe:
 
 
 def nme_scan(a: np.ndarray, cfg: NmeConfig = NmeConfig()) -> NmeScan:
-    """Scan integer p upward from 1 to at most min(p_max, N) over raw-cosine a and select p_hat, k_hat.
+    """Scan integer p upward from 1 to at most p_max = floor(N/4) over raw-cosine a and select p_hat, k_hat.
 
     One pass over p updates a single Laplacian and takes only its eigenvalues
     (nme_sc re-probes p_hat for eigenvectors). p_hat is the argmin of r_p
@@ -433,8 +422,7 @@ def nme_scan(a: np.ndarray, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     n = a.shape[0]
     if n < 4:
         raise ValueError(f"need at least 4 segments, got {n}")
-    p_max = cfg.p_max if cfg.p_max is not None else max(1, n // 4)
-    p_max = min(int(p_max), n)
+    p_max = _p_cap(n)
     m = min(cfg.max_speakers, n - 1) + 1
     w = min(m + _GUARD_COLUMNS, n)
 
@@ -490,18 +478,18 @@ def nme_sc(emb: EmbeddingSequence, cfg: NmeConfig = NmeConfig()) -> tuple[Diariz
     """End-to-end auto-tuned spectral clustering of an embedding sequence.
 
     Returns the per-segment labels as a DiarizationResult plus the full
-    scan for diagnostics. Deterministic for a fixed cfg.seed.
+    scan for diagnostics. Deterministic: k-means draws from the fixed _SEED.
     """
     a = cosine_affinity(emb)
     scan = nme_scan(a, cfg)
     probe = nme_at(a, scan.p_hat, cfg)
     points = spectral_embedding(probe.eigensystem, scan.k_hat)
-    return _cluster_rows(emb, points, scan.k_hat, cfg.seed), scan
+    return _cluster_rows(emb, points, scan.k_hat), scan
 
 
-def _cluster_rows(emb: EmbeddingSequence, points: np.ndarray, k: int, seed: int) -> DiarizationResult:
+def _cluster_rows(emb: EmbeddingSequence, points: np.ndarray, k: int) -> DiarizationResult:
     """k-means on the spectral rows, one per segment of emb, as a labeled timeline."""
-    km = kmeans(points, k, seed)
+    km = kmeans(points, k, _SEED)
     return DiarizationResult(emb.recording_id, emb.starts, emb.ends, km.labels)
 
 
@@ -527,4 +515,4 @@ def njw_sc(emb: EmbeddingSequence, cfg: NjwConfig) -> DiarizationResult:
     else:
         # Gaps of the negated descending values are the descending gaps exactly: (-b) - (-a) = a - b.
         k = 1 + int(np.argmax(eigengap_vector(-es.values[::-1], cfg.max_speakers)))
-    return _cluster_rows(emb, _njw_embedding(es, k), k, cfg.seed)
+    return _cluster_rows(emb, _njw_embedding(es, k), k)

@@ -192,7 +192,7 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator):
     return new_labels, centers, inertia
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 42) -> KMeansResult:
+def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     """Cluster row vectors with restarted Lloyd iterations.
 
     Runs _RESTARTS (10) independent k-means++ seeded Lloyd passes of at most
@@ -201,7 +201,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 42) -> KMeansResult:
     seeded with ``seed + i``, so the result is a function of the seed.
 
     Args:
-        points: (n, d) matrix, one observation per row.
+        points: (n, d) matrix, one observation per row; a 1-d array is one column.
         k: number of clusters, 1 <= k <= n.
         seed: seed of the first restart's generator.
 

@@ -274,3 +274,7 @@ def test_embedding_sequence_rejects_bad_segments() -> None:
         EmbeddingSequence(starts=np.array([0.0, 1.0]), ends=np.array([1.0, 2.0]), vectors=[[1.0], [np.inf]])
     with pytest.raises(ValueError):
         EmbeddingSequence(starts=np.array([0.0]), ends=np.array([1.0]), vectors=np.ones((1, 3)))
+    with pytest.raises(ValueError, match="^starts, ends and vectors must agree in length$"):
+        EmbeddingSequence(starts=np.array([0.0, 1.0]), ends=np.array([1.0, 2.0, 3.0]), vectors=vec)
+    with pytest.raises(ValueError, match="^embedding dimension must be >= 1$"):
+        EmbeddingSequence(starts=np.array([0.0, 1.0]), ends=np.array([1.0, 2.0]), vectors=np.ones((2, 0)))

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmesc import load_rttm
-from nmesc.cli import main
+from nmesc.cli import build_parser, main
 
 
 def _synth(tmp_path, clusters=3, per_cluster=10, dim=16, noise=0.1, seed=42, tag=""):
@@ -157,12 +160,9 @@ def test_cluster_usage_errors_exit_two(tmp_path) -> None:
     synth_out = ["--out", str(tmp_path / "bad.jsonl"), "--truth-out", str(tmp_path / "bad.rttm")]
     for argv in [
         ["cluster", "--embeddings", missing, *out, "--max-speakers", "0"],
-        ["cluster", "--embeddings", missing, *out, "--p-max", "0"],
-        ["cluster", "--embeddings", missing, *out, "--seed", "-1"],
         ["cluster", "--embeddings", missing, *out, "--fixed-k", "9"],
         ["cluster", "--embeddings", missing, *out, "--method", "njw-sc", "--sigma", "0.5", "--fixed-k", "9"],
         ["cluster", "--embeddings", missing, *out, "--method", "njw-sc", "--sigma", "-1"],
-        ["cluster", "--embeddings", missing, *out, "--method", "njw-sc", "--sigma", "0.5", "--seed", "-1"],
         ["score", "--ref", missing, "--hyp", missing, "--collar", "-1"],
         ["synth", "--clusters", "0", "--per-cluster", "2", "--dim", "4", *synth_out],
         ["synth", "--clusters", "2", "--per-cluster", "2", "--dim", "4", "--seed", "-1", *synth_out],
@@ -173,6 +173,31 @@ def test_cluster_usage_errors_exit_two(tmp_path) -> None:
             main(argv)
         assert err.value.code == 2, argv
     assert not any(p.name.startswith("bad") for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--p-max", "--seed"])
+def test_cluster_takes_no_p_max_or_seed(tmp_path, capsys, flag) -> None:
+    # The p cap (floor(N/4)) and the k-means seed (42) are fixed rules, which the manifest records.
+    emb, _ = _synth(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["cluster", "--embeddings", str(emb), "--out", str(tmp_path / "bad.rttm"), flag, "5"])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    assert not any(p.name.startswith("bad") for p in tmp_path.iterdir())
+
+
+def test_readme_names_exactly_the_cli_flags() -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme)) - {"--no-build-isolation"}  # a pip flag
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        option
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert named == flags
 
 
 def test_cluster_njw_with_sigma(tmp_path) -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import re
 from decimal import ROUND_HALF_EVEN, Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from nmesc import (
     write_rttm,
 )
 from nmesc import EmbeddingSequence
-from nmesc.diarization import _optimal_mapping
+from nmesc.diarization import _frac, _optimal_mapping
 from oracles import exhaustive_matched_total, oracle_der_components
 
 
@@ -157,6 +158,12 @@ _GOOD_ROW = '{"start": 0.0, "end": 1.0, "embedding": [1.0, 0.0]}'
             ParseError,
             "line 2: embedding has dimension 1, expected 2",
             id="dimension-mismatch",
+        ),
+        pytest.param(
+            [_GOOD_ROW, '{"start": 1.0, "end": 2.0, "embedding": []}'],
+            ParseError,
+            "line 2: empty embedding",
+            id="empty-embedding",
         ),
         pytest.param(["not json"], ParseError, "line 1: invalid JSON (Expecting value)", id="not-json"),
         pytest.param(['[1.0, 2.0]'], ParseError, "line 1: expected a JSON object", id="not-an-object"),
@@ -415,6 +422,11 @@ _RTTM_ROW = "SPEAKER rec 1 0.000 1.000 <NA> <NA> spk0 <NA> <NA>"
             id="negative-duration",
         ),
         pytest.param(
+            ["SPEAKER rec 1 -1.000 1.000 <NA> <NA> spk0 <NA> <NA>"],
+            "line 1: onset must be non-negative, got -1.0",
+            id="negative-onset",
+        ),
+        pytest.param(
             ["SPEAKER rec 1 zero 1.000 <NA> <NA> spk0 <NA> <NA>"], "line 1: bad onset/duration", id="word-onset"
         ),
         pytest.param(
@@ -562,6 +574,16 @@ def test_score_der_empty_reference() -> None:
         score_der([], [_rec("X", 0.0, 1.0)])
     with pytest.raises(ValueError, match="^collar must be a finite number >= 0$"):
         score_der([_rec("A", 0.0, 1.0)], [], collar=-0.1)
+
+
+@settings(max_examples=300)
+@given(x=st.floats(min_value=0.0, allow_infinity=False))
+@example(x=1e-05)
+@example(x=0.1)
+@example(x=2.5e-07)
+@example(x=1e22)
+def test_exact_ratio_is_that_of_the_decimal_rendering(x: float) -> None:
+    assert _frac(x) == Fraction(str(x))
 
 
 @pytest.mark.parametrize("score", [score_der, score_recordings])
@@ -789,6 +811,17 @@ def test_diarization_result_rejects_label_gaps() -> None:
 def test_diarization_result_rejects_a_non_finite_time_naming_its_segment(starts, ends, segment, shown) -> None:
     with pytest.raises(ValueError, match=f"^segment {segment}: start and end must be finite, got {shown}$"):
         DiarizationResult("rec", starts, ends, [0] * len(starts))
+
+
+@pytest.mark.parametrize(
+    ("starts", "labels"),
+    [([0.0, 1.0], [0, 0, 1]), ([[0.0], [1.0]], [[0], [0]])],
+    ids=["unequal-lengths", "two-dimensional"],
+)
+def test_diarization_result_rejects_misshapen_arrays(starts, labels) -> None:
+    starts = np.array(starts)
+    with pytest.raises(ValueError, match="^starts, ends and labels must be 1-d arrays of equal length$"):
+        DiarizationResult("rec", starts, starts + 1.0, labels)
 
 
 def _embedding_sequence(starts, ends) -> EmbeddingSequence:

@@ -1,9 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
-import re
 import subprocess
 import sys
 from unittest import mock
@@ -234,13 +234,21 @@ def test_nme_metrics_bounds_hold_on_random_inputs() -> None:
         assert probe.rp >= p
 
 
+def _capped(cap: int | None):
+    """Patch the scan's p cap rule to min(cap, N); None keeps the rule, floor(N/4)."""
+    if cap is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(nmesc.nme, "_p_cap", lambda n: min(cap, n))
+
+
 def test_nme_scan_two_ideal_pairs_hand_enumeration(two_ideal_pairs) -> None:
     # Duplicate vectors tie at 1.0, so p=1 keeps column 0 (not the diagonal):
     # each pair collapses to one edge of weight 1/2, spectrum {0,0,1,1},
     # r(1) ~ 1; at p=2 the pairs are 2-cliques, spectrum {0,0,2,2}, r(2) ~ 2.
     # Since r(p) >= p, p=2 cannot beat r(1) ~ 1, so the scan stops after p=1.
     a = cosine_affinity(two_ideal_pairs)
-    scan = nme_scan(a, NmeConfig(p_max=2))
+    with _capped(2):
+        scan = nme_scan(a, NmeConfig())
     assert [e.p for e in scan.entries] == [1]
     assert scan.p_max == 2
     assert scan.entries[0].rp == pytest.approx(1.0, abs=1e-8)
@@ -252,8 +260,9 @@ def test_nme_scan_two_ideal_pairs_hand_enumeration(two_ideal_pairs) -> None:
 
 def test_nme_scan_fixed_k_overrides_only_k(two_ideal_pairs) -> None:
     a = cosine_affinity(two_ideal_pairs)
-    free = nme_scan(a, NmeConfig(p_max=2))
-    fixed = nme_scan(a, NmeConfig(p_max=2, fixed_k=1))
+    with _capped(2):
+        free = nme_scan(a, NmeConfig())
+        fixed = nme_scan(a, NmeConfig(fixed_k=1))
     assert fixed.k_hat == 1
     assert fixed.p_hat == free.p_hat
     for e_free, e_fixed in zip(free.entries, fixed.entries):
@@ -276,9 +285,7 @@ def test_nme_scan_entry_structure_and_defaults() -> None:
     assert scan.p_max == 17 // 4
     evaluated = [e.p for e in scan.entries]
     assert evaluated == list(range(1, scan.p_max + 1)) and scan.skipped == ()
-    for p in evaluated:
-        e = scan.entry_at(p)
-        assert e.p == p
+    for e in scan.entries:
         assert 0.0 <= e.gp <= 1.0
         assert e.rp >= e.p
         assert 1 <= e.k_at_p <= min(8, 16)
@@ -339,10 +346,11 @@ def test_pruned_laplacians_equal_public_chain_at_every_p(a) -> None:
 @given(
     a=_affinities_with_duplicates(),
     max_speakers=st.integers(1, 8),
-    p_max=st.one_of(st.none(), st.integers(1, 40)),
+    cap=st.one_of(st.none(), st.integers(1, 40)),
 )
-def test_nme_scan_invariants(a, max_speakers, p_max) -> None:
-    scan = nme_scan(a, NmeConfig(p_max=p_max, max_speakers=max_speakers))
+def test_nme_scan_invariants(a, max_speakers, cap) -> None:
+    with _capped(cap):
+        scan = nme_scan(a, NmeConfig(max_speakers=max_speakers))
     for e in scan.entries:
         assert 0.0 <= e.gp <= 1.0
         assert e.rp >= e.p
@@ -414,12 +422,12 @@ def _clustered_affinities(draw) -> np.ndarray:
 @given(
     a=st.one_of(_affinities_with_duplicates(), _clustered_affinities()),
     max_speakers=st.integers(1, 8),
-    p_max=st.one_of(st.none(), st.integers(1, 40)),
+    cap=st.one_of(st.none(), st.integers(1, 40)),
     epsilon=st.sampled_from([1e-14, 1e-10, 1e-3, 2.0]),
 )
-def test_nme_scan_early_stop_equals_full_scan(a, max_speakers, p_max, epsilon) -> None:
-    with mock.patch.object(nmesc.nme, "_EPSILON", epsilon):
-        _assert_scan_matches_full_scan(a, NmeConfig(p_max=p_max, max_speakers=max_speakers))
+def test_nme_scan_early_stop_equals_full_scan(a, max_speakers, cap, epsilon) -> None:
+    with mock.patch.object(nmesc.nme, "_EPSILON", epsilon), _capped(cap):
+        _assert_scan_matches_full_scan(a, NmeConfig(max_speakers=max_speakers))
 
 
 def test_nme_scan_early_stop_equals_full_scan_on_a_meeting() -> None:
@@ -660,8 +668,9 @@ def test_nme_scan_segment_permutation_leaves_metrics() -> None:
     s2 = nme_scan(cosine_affinity(permuted), cfg)
     common = sorted({e.p for e in s1.entries} & {e.p for e in s2.entries})
     assert common == [1, 2, 3]
+    by_p1, by_p2 = ({e.p: e for e in s.entries} for s in (s1, s2))
     for p in common:
-        e1, e2 = s1.entry_at(p), s2.entry_at(p)
+        e1, e2 = by_p1[p], by_p2[p]
         assert e1.gp == pytest.approx(e2.gp, abs=1e-9)
         assert e1.k_at_p == e2.k_at_p
 
@@ -688,14 +697,15 @@ def test_nme_scan_rejects_small_input() -> None:
 def test_nme_scan_p_max_clamped_to_n() -> None:
     rng = np.random.default_rng(15)
     a = cosine_affinity(random_embeddings(rng, 5, 3))
-    scan = nme_scan(a, NmeConfig(p_max=50))
+    with _capped(50):
+        scan = nme_scan(a, NmeConfig())
     assert scan.p_max == 5
     # r = 1e10, 3.37, 6.74: the scan stops before p=4 >= r(2); p=4 and p=5,
     # probed directly, cannot beat r(2) either.
     assert [e.p for e in scan.entries] == [1, 2, 3]
     assert scan.p_hat == 2
     for p in (4, 5):
-        assert nme_at(a, p).rp >= p >= scan.entry_at(2).rp
+        assert nme_at(a, p).rp >= p >= scan.entries[1].rp
 
 
 def test_nme_scan_max_speakers_caps_estimate() -> None:
@@ -718,7 +728,8 @@ def _scan_with_skips() -> NmeScan:
 
 
 def test_nme_scan_record_invariants_enforced(two_ideal_pairs) -> None:
-    stopped = nme_scan(cosine_affinity(two_ideal_pairs), NmeConfig(p_max=2))
+    with _capped(2):
+        stopped = nme_scan(cosine_affinity(two_ideal_pairs), NmeConfig())
     assert len(stopped.entries) == 1  # 1 + 1 >= r(1) ~ 1 justifies the stop
     with pytest.raises(ValueError):
         NmeScan(entries=stopped.entries, p_hat=2, k_hat=stopped.k_hat, p_max=stopped.p_max)
@@ -744,7 +755,7 @@ def test_nme_scan_record_invariants_enforced(two_ideal_pairs) -> None:
     # skipped bound must be >= the best r_p of the entries before it.
     scan = _scan_with_skips()
     entries, skipped = scan.entries, scan.skipped
-    r_best = scan.entry_at(6).rp
+    r_best = next(e.rp for e in entries if e.p == 6)
 
     def build(entries=entries, skipped=skipped, p_hat=6):
         return NmeScan(entries=entries, p_hat=p_hat, k_hat=2, p_max=15, skipped=skipped)
@@ -768,24 +779,6 @@ def test_nme_scan_record_invariants_enforced(two_ideal_pairs) -> None:
             build(**change)
 
 
-def test_nme_scan_entry_at_looks_up_by_p() -> None:
-    scan = _scan_with_skips()
-    for e in scan.entries:
-        assert scan.entry_at(e.p) is e
-    for p, bound in scan.skipped:
-        message = re.escape(f"p={p} was skipped: its r_p is at least {bound}")
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            scan.entry_at(p)
-    for p in (0, -1, 16):
-        with pytest.raises(ValueError, match=f"^p={p} was not scanned$"):
-            scan.entry_at(p)
-
-
-def test_nme_config_validation() -> None:
-    with pytest.raises(ValueError, match="^p_max must be >= 1 when set$"):
-        NmeConfig(p_max=0)
-
-
 def _njw_config(**settings) -> NjwConfig:
     return NjwConfig(sigma=1.0, **settings)
 
@@ -798,8 +791,8 @@ def _njw_config(**settings) -> NjwConfig:
         ({"fixed_k": 0}, "fixed_k must be in [1, 8]"),
         ({"fixed_k": 9}, "fixed_k must be in [1, 8]"),
         ({"max_speakers": 3, "fixed_k": 4}, "fixed_k must be in [1, 3]"),
-        ({"seed": -1}, "seed must be >= 0"),
-        ({"max_speakers": 1, "fixed_k": 1, "seed": 0}, None),
+        ({"max_speakers": 2, "fixed_k": -1}, "fixed_k must be in [1, 2]"),
+        ({"max_speakers": 1, "fixed_k": 1}, None),
         ({"fixed_k": 8}, None),
     ],
 )
@@ -879,8 +872,9 @@ def test_nme_sc_four_clusters_high_accuracy() -> None:
 
 
 def test_nme_sc_deterministic(two_ideal_pairs) -> None:
-    r1, s1 = nme_sc(two_ideal_pairs, NmeConfig(seed=7))
-    r2, s2 = nme_sc(two_ideal_pairs, NmeConfig(seed=7))
+    with mock.patch.object(nmesc.nme, "_SEED", 7):
+        r1, s1 = nme_sc(two_ideal_pairs, NmeConfig())
+        r2, s2 = nme_sc(two_ideal_pairs, NmeConfig())
     assert np.array_equal(r1.labels, r2.labels)
     assert s1.p_hat == s2.p_hat and s1.k_hat == s2.k_hat
 
@@ -891,6 +885,8 @@ def test_nme_sc_rejects_small_input() -> None:
     )
     with pytest.raises(ValueError, match="^need at least 4 segments, got 2$"):
         nme_sc(emb, NmeConfig())
+    with pytest.raises(ValueError, match="^need at least 4 segments, got 2$"):
+        njw_sc(emb, NjwConfig(sigma=1.0))
 
 
 def test_njw_sc_two_ideal_pairs(two_ideal_pairs) -> None:

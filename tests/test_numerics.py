@@ -111,6 +111,13 @@ def test_eigh_deterministic() -> None:
     assert np.array_equal(a.vectors, b.vectors)
 
 
+def test_eigen_system_rejects_a_misshapen_or_unsorted_decomposition() -> None:
+    with pytest.raises(ValueError, match=r"^vectors must be 2x2, got \(3, 3\)$"):
+        EigenSystem(values=[0.0, 1.0], vectors=np.eye(3))
+    with pytest.raises(ValueError, match="^eigenvalues must be sorted ascending$"):
+        EigenSystem(values=[1.0, 0.0], vectors=np.eye(2))
+
+
 def test_eigh_rejects_bad_input() -> None:
     with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
         eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -254,11 +261,21 @@ def test_kmeans_duplicate_points_still_fill_every_cluster() -> None:
 def test_kmeans_invalid_inputs() -> None:
     pts = np.zeros((4, 2))
     with pytest.raises(ValueError, match=r"^k=0 outside \[1, 4\]$"):
-        kmeans(pts, 0)
+        kmeans(pts, 0, 0)
     with pytest.raises(ValueError, match=r"^k=5 outside \[1, 4\]$"):
-        kmeans(pts, 5)
+        kmeans(pts, 5, 0)
     with pytest.raises(ValueError, match="^points contain non-finite entries$"):
-        kmeans(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1)
+        kmeans(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1, 0)
+
+
+def test_kmeans_takes_a_1d_array_as_one_column() -> None:
+    values = np.array([0.0, 5.0, 0.1, 5.2, 0.2])
+    flat = kmeans(values, 2, seed=3)
+    column = kmeans(values[:, None], 2, seed=3)
+    assert flat.centroids.shape == (2, 1)
+    assert np.array_equal(flat.labels, column.labels)
+    assert np.array_equal(flat.centroids, column.centroids)
+    assert flat.labels[0] == flat.labels[2] == flat.labels[4] != flat.labels[1] == flat.labels[3]
 
 
 def test_kmeans_iteration_cap_keeps_labels_consistent(monkeypatch) -> None:

@@ -77,6 +77,8 @@ def test_synth_spec_validation() -> None:
             SynthSpec(n_clusters=2, segments_per_cluster=3, dim=4, noise=noise)
     with pytest.raises(ValueError):
         SynthSpec(n_clusters=2, segments_per_cluster=(4, 2), dim=4)
+    with pytest.raises(ValueError, match="^segments_per_cluster must be >= 1$"):
+        SynthSpec(n_clusters=2, segments_per_cluster=0, dim=4)
     with pytest.raises(ValueError, match="seed"):
         SynthSpec(n_clusters=2, segments_per_cluster=3, dim=4, seed=-1)
 
