@@ -83,7 +83,8 @@ def _check_sigma(sigma: float) -> None:
 def cosine_affinity(emb: EmbeddingSequence) -> np.ndarray:
     """Pairwise raw cosine similarities; diagonal pinned to exactly 1."""
     unit = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
-    a = np.clip(unit @ unit.T, -1.0, 1.0)
+    a = unit @ unit.T
+    np.clip(a, -1.0, 1.0, out=a)
     np.fill_diagonal(a, 1.0)
     return a
 

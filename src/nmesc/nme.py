@@ -309,7 +309,8 @@ def nme_probes(a: np.ndarray, ps, cfg: NmeConfig = NmeConfig()):
     take the full eigendecomposition, from which g_p = max(gap)/(lambda_max +
     eps), r_p = p/max(g_p, eps) and the gap-argmax cluster count follow. An
     empty ps yields nothing. Being a generator, it checks its input at the
-    first next(), not at the call.
+    first next(), not at the call. It keeps no reference to a once it has
+    a's row order, so a temporary a is freed before any eigh.
 
     Raises:
         ValueError: a is not a square matrix, or some p outside [1, n].
@@ -323,7 +324,9 @@ def nme_probes(a: np.ndarray, ps, cfg: NmeConfig = NmeConfig()):
     if not wanted:
         return
     p_last = max(wanted)
-    for p, lap in enumerate(_pruned_laplacians(descending_order(a, p_last), p_last), start=1):
+    order = descending_order(a, p_last)
+    del a
+    for p, lap in enumerate(_pruned_laplacians(order, p_last), start=1):
         if p in wanted:
             es = eigh(lap)
             gp, rp, k = _nme_metrics(es.values, p, cfg)
@@ -331,8 +334,13 @@ def nme_probes(a: np.ndarray, ps, cfg: NmeConfig = NmeConfig()):
 
 
 def nme_at(a: np.ndarray, p: int, cfg: NmeConfig = NmeConfig()) -> NmeProbe:
-    """The probe of one threshold p: nme_probes' one-p case, raising its errors at the call."""
-    return next(nme_probes(a, [p], cfg))
+    """The probe of one threshold p: nme_probes' one-p case, raising its errors at the call.
+
+    Like nme_probes, it keeps no reference to a once it has a's row order.
+    """
+    probes = nme_probes(a, [p], cfg)
+    del a  # the generator drops its own reference once it has the row order
+    return next(probes)
 
 
 def nme_scan(a: np.ndarray, cfg: NmeConfig = NmeConfig()) -> NmeScan:
@@ -415,6 +423,9 @@ def nme_scan(a: np.ndarray, cfg: NmeConfig = NmeConfig()) -> NmeScan:
 
     Kept entries, p_hat and k_hat equal a full scan's bit for bit.
 
+    The scan keeps no reference to a once it has a's row order, so a
+    temporary a is freed before any eigvalsh or eigh.
+
     Raises:
         ValueError: a is not a square matrix, or it has fewer than 4 segments.
     """
@@ -430,6 +441,7 @@ def nme_scan(a: np.ndarray, cfg: NmeConfig = NmeConfig()) -> NmeScan:
     best = basis = None
     certifying = _EPSILON >= _CERTIFICATE_FLOOR * n * np.finfo(float).eps  # the component certificate
     order = descending_order(a, p_max)
+    del a
     for p, lap in enumerate(_pruned_laplacians(order, p_max), start=1):
         if best is not None and p * (1.0 - _SKIP_MARGIN) >= best.rp:
             break
@@ -479,10 +491,13 @@ def nme_sc(emb: EmbeddingSequence, cfg: NmeConfig = NmeConfig()) -> tuple[Diariz
 
     Returns the per-segment labels as a DiarizationResult plus the full
     scan for diagnostics. Deterministic: k-means draws from the fixed _SEED.
+
+    The affinity is computed once for the scan and once for the p_hat probe
+    and kept in no variable: each callee drops it once it has the row order,
+    so no N x N affinity is alive at the N x N solves, where memory peaks.
     """
-    a = cosine_affinity(emb)
-    scan = nme_scan(a, cfg)
-    probe = nme_at(a, scan.p_hat, cfg)
+    scan = nme_scan(cosine_affinity(emb), cfg)
+    probe = nme_at(cosine_affinity(emb), scan.p_hat, cfg)
     points = spectral_embedding(probe.eigensystem, scan.k_hat)
     return _cluster_rows(emb, points, scan.k_hat), scan
 

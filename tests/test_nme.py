@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -877,6 +878,45 @@ def test_nme_sc_deterministic(two_ideal_pairs) -> None:
         r2, s2 = nme_sc(two_ideal_pairs, NmeConfig())
     assert np.array_equal(r1.labels, r2.labels)
     assert s1.p_hat == s2.p_hat and s1.k_hat == s2.k_hat
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="CPython 3.10 keeps a call's arguments on the caller's stack until the call returns",
+)
+def test_no_affinity_is_alive_at_an_n_by_n_solve(monkeypatch) -> None:
+    # nme_scan, nme_at and nme_sc drop the N x N affinity once they have its row
+    # order, so a temporary argument is freed before any eigvalsh or eigh.
+    emb, _ = generate(SynthSpec(n_clusters=2, segments_per_cluster=30, dim=16, noise=0.1, seed=79))
+    refs, solves = [], []
+
+    def watched_affinity(emb):
+        a = cosine_affinity(emb)
+        refs.append(weakref.ref(a))
+        return a
+
+    def checked(solve):
+        def solve_with_no_affinity_alive(lap):
+            assert refs and all(ref() is None for ref in refs), "an affinity is alive at an N x N solve"
+            solves.append(solve.__name__)
+            return solve(lap)
+
+        return solve_with_no_affinity_alive
+
+    monkeypatch.setattr(nmesc.nme, "eigvalsh", checked(eigvalsh))
+    monkeypatch.setattr(nmesc.nme, "eigh", checked(eigh))
+    scan = nme_scan(watched_affinity(emb))
+    assert solves.count("eigvalsh") >= 1 and solves.count("eigh") == 1  # the scan's basis eigh
+    solves.clear()
+    nme_at(watched_affinity(emb), scan.p_hat)
+    assert solves == ["eigh"]
+
+    refs.clear()
+    solves.clear()
+    monkeypatch.setattr(nmesc.nme, "cosine_affinity", watched_affinity)
+    _, sc_scan = nme_sc(emb)
+    assert len(refs) == 2 and sc_scan == scan
+    assert solves.count("eigvalsh") >= 1 and solves.count("eigh") == 2 and solves[-1] == "eigh"
 
 
 def test_nme_sc_rejects_small_input() -> None:
