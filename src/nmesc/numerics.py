@@ -7,7 +7,10 @@ input, and every source of k-means randomness flows from one explicit seed.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -25,9 +28,9 @@ class NoConvergenceError(RuntimeError):
     """The eigensolver hit its iteration cap without converging."""
 
 def _freeze(record, dtype=float, **arrays) -> None:
-    """Store a read-only copy of each array on a frozen dataclass record, under its keyword name."""
+    """Store a read-only C-order copy of each array on a frozen dataclass record, under its keyword name."""
     for name, value in arrays.items():
-        copy = np.array(value, dtype=dtype, copy=True)
+        copy = np.array(value, dtype=dtype, order="C", copy=True)
         copy.flags.writeable = False
         object.__setattr__(record, name, copy)
 
@@ -74,8 +77,53 @@ class EigenSystem:
         return self.values.shape[0]
 
 
-def _solve_symmetric(solver, m: np.ndarray):
-    """Check m as eigh documents, then return solver(m); a LAPACK failure becomes NoConvergenceError."""
+@functools.cache
+def _lapacke_dsyevd():
+    """LAPACKE_dsyevd of the ILP64 OpenBLAS bundled in numpy's wheel, or None where there is none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            fn = ctypes.CDLL(str(lib)).scipy_LAPACKE_dsyevd64_
+        except (OSError, AttributeError):
+            continue
+        # (layout, jobz, uplo, n, a, lda, w) -> info; every LAPACK integer is 64-bit.
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr]
+        fn.restype = i64
+        return fn
+    return None
+
+
+_LAPACK_COL_MAJOR = 102
+
+
+def _syevd(m: np.ndarray, vectors: bool):
+    """np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m), with one N x N array fewer.
+
+    numpy's eigh holds its copy of m, dsyevd's 2 N^2 workspace and a
+    separate output. Here dsyevd overwrites the solver's own C-order copy
+    with the eigenvectors, column-major, so they are a.T. That copy's
+    column-major matrix is m.T, so dsyevd's lower triangle is m's upper
+    one: on an exactly symmetric m, as every matrix nme builds, the
+    result is numpy's bit for bit. Where numpy bundles no such library,
+    numpy's solver runs.
+    """
+    dsyevd = _lapacke_dsyevd()
+    if dsyevd is None:
+        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+    a = np.array(m, dtype=float, order="C")
+    n = a.shape[0]
+    w = np.empty(n)
+    info = dsyevd(_LAPACK_COL_MAJOR, b"V" if vectors else b"N", b"L", n, a.ctypes.data, n, w.ctypes.data)
+    if info > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if info < 0:
+        raise RuntimeError(f"LAPACKE_dsyevd failed with info={info}")
+    return (w, a.T) if vectors else w
+
+
+def _solve_symmetric(m: np.ndarray, vectors: bool):
+    """Check m as eigh documents, then solve it; a LAPACK failure becomes NoConvergenceError."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -87,7 +135,7 @@ def _solve_symmetric(solver, m: np.ndarray):
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     try:
-        return solver(m)
+        return _syevd(m, vectors)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
 
@@ -105,12 +153,12 @@ def eigh(m: np.ndarray) -> EigenSystem:
         ValueError: not square, any entry NaN or Inf, or asymmetry beyond tolerance.
         NoConvergenceError: the underlying iteration failed to converge.
     """
-    return EigenSystem(*_solve_symmetric(np.linalg.eigh, m))
+    return EigenSystem(*_solve_symmetric(m, vectors=True))
 
 
 def eigvalsh(m: np.ndarray) -> np.ndarray:
     """Eigenvalues only, ascending. Same preconditions as ``eigh``."""
-    return _solve_symmetric(np.linalg.eigvalsh, m)
+    return _solve_symmetric(m, vectors=False)
 
 
 # k-means runs this many k-means++ seeded restarts, each of at most this many centroid updates.

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmesc import load_rttm
+from nmesc import load_rttm, numerics
 from nmesc.cli import build_parser, main
 
 
@@ -235,10 +235,7 @@ def test_cluster_missing_input_exits_one(tmp_path, capsys) -> None:
 def test_cluster_solver_failure_exits_one(tmp_path, monkeypatch, capsys) -> None:
     emb, _ = _synth(tmp_path, clusters=2, per_cluster=10, dim=8)
 
-    def fail(m):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(numerics, "_lapacke_dsyevd", lambda: lambda *args: 1)  # dsyevd's info > 0
     out = tmp_path / "o.rttm"
     assert main(["cluster", "--embeddings", str(emb), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: symmetric eigensolver did not converge: Eigenvalues did not converge\n"

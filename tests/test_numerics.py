@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import ctypes
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmesc import (
     DiarizationResult,
@@ -9,10 +14,17 @@ from nmesc import (
     EmbeddingSequence,
     KMeansResult,
     NoConvergenceError,
+    SynthSpec,
+    cosine_affinity,
     eigh,
+    eigvalsh,
+    generate,
     kmeans,
+    nme_sc,
 )
 from nmesc import numerics
+from nmesc.affinity import descending_order
+from nmesc.nme import _pruned_laplacians
 from oracles import bisection_eigenvalues, brute_force_kmeans_inertia
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -157,19 +169,97 @@ def test_solver_input_checks_at_their_tolerance(solver) -> None:
 def test_solver_turns_a_lapack_failure_into_no_convergence(monkeypatch, solver) -> None:
     import nmesc
 
-    def fail(m):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, solver, fail)
+    monkeypatch.setattr(numerics, "_lapacke_dsyevd", lambda: lambda *args: 1)  # dsyevd's info > 0
     with pytest.raises(NoConvergenceError) as info:
         getattr(nmesc, solver)(np.eye(3))
     assert str(info.value) == "symmetric eigensolver did not converge: Eigenvalues did not converge"
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
-def test_eigvalsh_matches_eigh_and_validates() -> None:
-    from nmesc import eigvalsh
+def test_solver_reports_a_lapacke_error_as_is(monkeypatch) -> None:
+    monkeypatch.setattr(numerics, "_lapacke_dsyevd", lambda: lambda *args: -1010)  # LAPACKE's out of memory
+    with pytest.raises(RuntimeError, match=r"^LAPACKE_dsyevd failed with info=-1010$") as info:
+        eigvalsh(np.eye(3))
+    assert type(info.value) is RuntimeError
 
+
+_NEEDS_DIRECT = pytest.mark.skipif(
+    numerics._lapacke_dsyevd() is None,
+    reason="numpy bundles no OpenBLAS exporting scipy_LAPACKE_dsyevd64_, so eigh and eigvalsh run numpy's solver",
+)
+
+
+@st.composite
+def _symmetric_matrices(draw) -> np.ndarray:
+    """A random symmetric matrix, or a pruned-graph Laplacian whose zero eigenvalue repeats per component.
+
+    The Laplacian's rows come from at most 4 directions, often exactly
+    repeated, so at small p the graph falls apart into components.
+    """
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if n == 1 or draw(st.booleans()):
+        m = rng.standard_normal((n, n))
+        return (m + m.T) / 2
+    centers = rng.standard_normal((draw(st.integers(1, 4)), 8))
+    noise = draw(st.sampled_from([0.0, 0.05]))
+    vectors = centers[rng.integers(len(centers), size=n)] + noise * rng.standard_normal((n, 8))
+    starts = np.arange(n, dtype=float)
+    a = cosine_affinity(EmbeddingSequence(starts=starts, ends=starts + 1.0, vectors=vectors))
+    p = draw(st.integers(1, max(1, n // 4)))
+    *_, lap = _pruned_laplacians(descending_order(a, p), p)
+    return lap
+
+
+_PATHS = [pytest.param(True, marks=_NEEDS_DIRECT, id="direct"), pytest.param(False, id="fallback")]
+
+
+@pytest.mark.parametrize("direct", _PATHS)
+@settings(max_examples=100, deadline=None)
+@given(m=_symmetric_matrices())
+def test_solvers_equal_numpy_bit_for_bit_on_either_path(direct, m) -> None:
+    lookup = numerics._lapacke_dsyevd if direct else lambda: None
+    keep = m.copy()
+    with mock.patch.object(numerics, "_lapacke_dsyevd", lookup):
+        es = eigh(m)
+        assert np.array_equal(m, keep)  # the solver wrote only its own copy
+        values = eigvalsh(m)
+        assert np.array_equal(m, keep)
+    want_values, want_vectors = np.linalg.eigh(keep)
+    assert np.array_equal(es.values, want_values)
+    assert np.array_equal(es.vectors, want_vectors)
+    assert np.array_equal(values, np.linalg.eigvalsh(keep))
+    assert es.vectors.flags.c_contiguous and not es.vectors.flags.writeable
+
+
+@_NEEDS_DIRECT
+def test_nme_sc_hands_numpy_no_n_by_n_solve(monkeypatch) -> None:
+    emb, _ = generate(SynthSpec(n_clusters=8, segments_per_cluster=50, dim=192, noise=0.15, seed=1))
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+
+        def spy(m, *args, _solve=getattr(np.linalg, name), **kwargs):
+            sizes.append(np.shape(m)[0])
+            return _solve(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    nme_sc(emb)
+    assert sizes, "the scan's w x w Ritz solves call numpy"
+    assert max(sizes) < emb.n == 400
+
+
+def test_lookup_finds_nothing_without_a_bundled_lapacke(monkeypatch, tmp_path) -> None:
+    lookup = numerics._lapacke_dsyevd.__wrapped__  # the uncached lookup
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert lookup() is None  # no numpy.libs directory
+    (tmp_path / "numpy.libs").mkdir()
+    (tmp_path / "numpy.libs" / "libscipy_openblas64_-junk.so").write_bytes(b"not a shared library")
+    assert lookup() is None  # the library does not load
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    assert lookup() is None  # the library lacks the symbol
+
+
+def test_eigvalsh_matches_eigh_and_validates() -> None:
     rng = np.random.default_rng(29)
     m = rng.standard_normal((10, 10))
     m = (m + m.T) / 2
